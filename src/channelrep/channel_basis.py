@@ -25,14 +25,20 @@ The canonical basis built by ``channel_basis`` consists of, in order:
 
 All entries are exact (combinatorial values and 1/sqrt(2) factors), each
 element is Hermitian, traceless apart from index 0, orthogonal to all of
-``sperp_basis``, and the whole set is orthonormal.  The element set is NOT
-the set of Kronecker products of two canonical Hermitian bases: products of
-traceless diagonals on both factors are replaced by the finer
-diagonal-profile (x) projector family, and cross-block pair elements are
-kept in positional form.  Every element is supported on a single pair of
-input indices, so the coefficients of structured maps (unitary conjugations,
-entrywise products) read off Choi-matrix entries directly instead of mixing
-them.
+``sperp_basis``, and the whole set is orthonormal.  It is NOT the set of
+Kronecker products of two canonical Hermitian bases: products of traceless
+diagonals on both factors are replaced by the finer diagonal-profile (x)
+projector family.  Every element sits on a single pair of input indices,
+so ``represent`` reads the coefficients off the Choi blocks J[y1,:,y2,:]
+(Re/Im of the blocks above the diagonal, the diagonal blocks mixed by the
+Helmert profiles) and ``combine`` writes them back; neither builds the
+O((dx*dy)^4) element stack ``ChannelBasis.elements``.
+
+Tolerances are relative to s = max(1, ||J||_F), so the verdict of
+``represent`` does not depend on units: J is rejected as non-Hermitian when
+its max-abs defect exceeds HERMITICITY_TOL * s, and as outside S when the
+trace norm of its projection onto the complement, ||Tr_Y J - (tr J/dx) I||_1,
+exceeds membership_tol * s.
 
 The first coefficient of any CP+TP Choi matrix equals sqrt(dx/dy), and the
 pairing <I/dx, J> (``order_unit_pairing``) equals 1 exactly on channels.
@@ -41,13 +47,16 @@ pairing <I/dx, J> (``order_unit_pairing``) equals 1 exactly on channels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations, product
 
 import numpy as np
 
-from .choi import ChoiMatrix
-from .errors import DimensionError, DomainError, NotInSubspaceError, ValidationError
+from .choi import ChoiMatrix, check_dims
+from .errors import DimensionError, NotInSubspaceError, ValidationError
+from .hermitian_basis import block_coords, block_from_coords, from_re_im, helmert, re_im
 from .hermitian_basis import hermitian_basis
-from .linalg import HERMITICITY_TOL, hermiticity_defect, kron, trace_norm
+from .linalg import HERMITICITY_TOL, hermiticity_defect, kron, partial_trace_first, trace_norm
 
 __all__ = [
     "MEMBERSHIP_TOL",
@@ -61,8 +70,8 @@ __all__ = [
     "order_unit_pairing",
 ]
 
-# Trace-norm threshold separating genuine non-membership in S (order-1
-# residuals) from floating-point dust.
+# Trace-norm threshold, relative to max(1, ||J||_F), separating genuine
+# non-membership in S (order-1 residuals) from floating-point dust.
 MEMBERSHIP_TOL = 1e-8
 
 Label = tuple
@@ -70,8 +79,7 @@ Label = tuple
 
 def subspace_dimension(dx: int, dy: int) -> int:
     """Dimension of S: dx^2 dy^2 - dx^2 + 1."""
-    if dx < 1 or dy < 1:
-        raise DomainError(f"dimensions must be positive, got ({dx}, {dy})")
+    check_dims(dx, dy)
     return dx * dx * dy * dy - dx * dx + 1
 
 
@@ -79,19 +87,29 @@ def subspace_dimension(dx: int, dy: int) -> int:
 class ChannelBasis:
     """Ordered orthonormal basis of S for fixed (dx, dy).
 
-    ``elements`` is a stack of shape (dim(S), dx*dy, dx*dy); ``labels`` is
-    the parallel tuple of structural labels.  Immutable after construction
-    and safe to share across threads; ``represent``/``combine`` are pure and
-    may run concurrently over the same basis.
+    ``labels`` is the tuple of structural labels, one per element, in
+    coefficient order.  Immutable and safe to share across threads;
+    ``represent``/``combine`` are pure and may run concurrently over the
+    same basis.
     """
 
     dx: int
     dy: int
-    elements: np.ndarray
     labels: tuple[Label, ...]
 
     def __len__(self) -> int:
-        return self.elements.shape[0]
+        return len(self.labels)
+
+    @cached_property
+    def elements(self) -> np.ndarray:
+        """Read-only dense stack of shape (dim(S), dx*dy, dx*dy), built on first use.
+
+        Element k is ``combine`` of the k-th unit vector.  It takes
+        O((dx*dy)^4) memory; ``represent`` and ``combine`` never need it.
+        """
+        stack = _scatter(self.dx, self.dy, np.eye(len(self)))
+        stack.setflags(write=False)
+        return stack
 
 
 @dataclass(frozen=True)
@@ -128,77 +146,52 @@ def sperp_basis(dx: int, dy: int) -> np.ndarray:
     dx = 1).  Tracing the output factor of any element yields a traceless
     matrix, never a multiple of the identity.
     """
-    if dx < 1 or dy < 1:
-        raise DomainError(f"dimensions must be positive, got ({dx}, {dy})")
-    n = dx * dy
-    traceless = hermitian_basis(dx).elements[1:]
-    if traceless.shape[0] == 0:
-        return np.zeros((0, n, n), dtype=complex)
-    eye_y = np.eye(dy, dtype=complex) / np.sqrt(dy)
-    stack = np.stack([kron(eye_y, h) for h in traceless])
+    check_dims(dx, dy)
+    stack = kron(np.eye(dy) / np.sqrt(dy), hermitian_basis(dx).elements[1:])
     stack.setflags(write=False)
     return stack
 
 
-def _diagonal_profiles(dy: int) -> list[np.ndarray]:
-    """Traceless diagonal vectors (1,..,1,-k,0,..)/sqrt(k+k^2) for k=1..dy-1."""
-    out = []
-    for k in range(1, dy):
-        v = np.zeros(dy)
-        v[:k] = 1.0
-        v[k] = -k
-        out.append(v / np.sqrt(k + k * k))
-    return out
-
-
 def channel_basis(dx: int, dy: int) -> ChannelBasis:
     """Construct the canonical orthonormal basis of S for dims (dx, dy)."""
-    if dx < 1 or dy < 1:
-        raise DomainError(f"dimensions must be positive, got ({dx}, {dy})")
-    n = dx * dy
-    sqrt2 = np.sqrt(2)
-
-    elements = [np.eye(n, dtype=complex) / np.sqrt(n)]
+    check_dims(dx, dy)
     labels: list[Label] = [("identity",)]
+    for k in range(1, dy):
+        labels += [("diag_proj", k, x) for x in range(dx)]
+        for a, b in combinations(range(dx), 2):
+            labels += [("diag_sym", k, a, b), ("diag_antisym", k, a, b)]
+    for (y1, y2), (x1, x2) in product(combinations(range(dy), 2), product(range(dx), repeat=2)):
+        labels += [("pair_sym", y1, x1, y2, x2), ("pair_antisym", y1, x1, y2, x2)]
+    return ChannelBasis(dx=dx, dy=dy, labels=tuple(labels))
 
-    for k, profile in enumerate(_diagonal_profiles(dy), start=1):
-        d_y = np.diag(profile).astype(complex)
-        for x in range(dx):
-            proj = np.zeros((dx, dx), dtype=complex)
-            proj[x, x] = 1.0
-            elements.append(kron(d_y, proj))
-            labels.append(("diag_proj", k, x))
-        for a in range(dx):
-            for b in range(a + 1, dx):
-                sym = np.zeros((dx, dx), dtype=complex)
-                sym[a, b] = sym[b, a] = 1.0 / sqrt2
-                elements.append(kron(d_y, sym))
-                labels.append(("diag_sym", k, a, b))
-                antisym = np.zeros((dx, dx), dtype=complex)
-                antisym[a, b] = 1j / sqrt2
-                antisym[b, a] = -1j / sqrt2
-                elements.append(kron(d_y, antisym))
-                labels.append(("diag_antisym", k, a, b))
 
-    for y1 in range(dy):
-        for y2 in range(y1 + 1, dy):
-            for x1 in range(dx):
-                for x2 in range(dx):
-                    p, q = y1 * dx + x1, y2 * dx + x2
-                    sym = np.zeros((n, n), dtype=complex)
-                    sym[p, q] = sym[q, p] = 1.0 / sqrt2
-                    elements.append(sym)
-                    labels.append(("pair_sym", y1, x1, y2, x2))
-                    antisym = np.zeros((n, n), dtype=complex)
-                    antisym[p, q] = 1j / sqrt2
-                    antisym[q, p] = -1j / sqrt2
-                    elements.append(antisym)
-                    labels.append(("pair_antisym", y1, x1, y2, x2))
+def _gather(dx: int, dy: int, m: np.ndarray) -> np.ndarray:
+    """Coefficients (..., dim S) of Choi matrices (..., n, n), read from their blocks.
 
-    stack = np.stack(elements)
-    assert stack.shape[0] == subspace_dimension(dx, dy)
-    stack.setflags(write=False)
-    return ChannelBasis(dx=dx, dy=dy, elements=stack, labels=tuple(labels))
+    For Hermitian input these are the overlaps <E_k, J> with the basis
+    elements; entries below the diagonal are not read.
+    """
+    u = m.reshape(m.shape[:-2] + (dy, dx, dy, dx)).swapaxes(-3, -2)  # [.., y1, y2] = J[y1,:,y2,:]
+    ys, (y1, y2), flat = np.arange(dy), np.triu_indices(dy, 1), m.shape[:-2] + (-1,)
+    identity = np.trace(m, axis1=-2, axis2=-1).real[..., None] / np.sqrt(dx * dy)
+    diag = helmert(dy)[1:] @ block_coords(u[..., ys, ys, :, :])
+    pairs = re_im(u[..., y1, y2, :, :].reshape(flat))
+    return np.concatenate([identity, diag.reshape(flat), pairs], axis=-1)
+
+
+def _scatter(dx: int, dy: int, values: np.ndarray) -> np.ndarray:
+    """Inverse of ``_gather``: Choi matrices (..., n, n) from coefficients (..., dim S)."""
+    n, batch, split = dx * dy, values.shape[:-1], 1 + (dy - 1) * dx * dx
+    ys, (y1, y2) = np.arange(dy), np.triu_indices(dy, 1)
+    m = np.zeros(batch + (n, n), dtype=complex)
+    u = m.reshape(batch + (dy, dx, dy, dx)).swapaxes(-3, -2)  # a view: writes land in m
+    diag = values[..., 1:split].reshape(batch + (dy - 1, dx * dx))
+    u[..., ys, ys, :, :] = block_from_coords(helmert(dy)[1:].T @ diag, dx)
+    pairs = from_re_im(values[..., split:]).reshape(batch + (len(y1), dx, dx))
+    u[..., y1, y2, :, :] = pairs
+    u[..., y2, y1, :, :] = pairs.conj().swapaxes(-1, -2)
+    m[..., np.arange(n), np.arange(n)] += values[..., :1] / np.sqrt(n)
+    return m
 
 
 def _coerce_choi(basis: ChannelBasis, j) -> np.ndarray:
@@ -224,27 +217,20 @@ def represent(
     """Expand a Choi matrix in the basis of S.
 
     Accepts a ``ChoiMatrix`` or a bare square array of side dx*dy.  The input
-    must be Hermitian (max-abs defect below the standard tolerance) and must
-    lie in S: the residual after projection is checked in trace norm against
-    ``membership_tol`` and a ``NotInSubspaceError`` is raised beyond it.
+    must be Hermitian and must lie in S, under the scale-relative tolerances
+    stated in the module docstring; ``NotInSubspaceError`` carries the
+    residual trace norm of an input outside S.
     """
     m = _coerce_choi(basis, j)
+    scale = max(1.0, float(np.linalg.norm(m)))
     defect = hermiticity_defect(m)
-    if defect > HERMITICITY_TOL:
-        raise ValidationError(
-            f"matrix is not Hermitian (max defect {defect:.3e})"
-        )
-    coeffs = np.tensordot(basis.elements.conj(), m, axes=([1, 2], [0, 1]))
-    max_imag = float(np.abs(coeffs.imag).max()) if coeffs.size else 0.0
-    if max_imag > HERMITICITY_TOL:
-        raise ValidationError(
-            f"coefficients have non-negligible imaginary part ({max_imag:.3e})"
-        )
-    values = coeffs.real
-    residual = m - np.tensordot(values, basis.elements, axes=1)
-    resid_norm = trace_norm(residual)
-    if resid_norm > membership_tol:
+    if defect > HERMITICITY_TOL * scale:
+        raise ValidationError(f"matrix is not Hermitian (max defect {defect:.3e})")
+    reduced = partial_trace_first(m, basis.dy, basis.dx)
+    resid_norm = trace_norm(reduced - np.trace(reduced) / basis.dx * np.eye(basis.dx))
+    if resid_norm > membership_tol * scale:
         raise NotInSubspaceError(resid_norm)
+    values = _gather(basis.dx, basis.dy, m)
     return CoefficientVector(dx=basis.dx, dy=basis.dy, values=values)
 
 
@@ -252,6 +238,8 @@ def combine(basis: ChannelBasis, v) -> ChoiMatrix:
     """Reassemble the Choi matrix sum_k v[k] * basis.elements[k].
 
     Exact linear combination, no projection; inverse of ``represent`` on S.
+    The coefficients are written straight into the Choi blocks, so the
+    element stack is never built.
     """
     if isinstance(v, CoefficientVector):
         if (v.dx, v.dy) != (basis.dx, basis.dy):
@@ -266,8 +254,7 @@ def combine(basis: ChannelBasis, v) -> ChoiMatrix:
             raise DimensionError(
                 f"expected {len(basis)} coefficients, got shape {values.shape}"
             )
-    matrix = np.tensordot(values, basis.elements, axes=1)
-    return ChoiMatrix(dx=basis.dx, dy=basis.dy, matrix=matrix)
+    return ChoiMatrix(dx=basis.dx, dy=basis.dy, matrix=_scatter(basis.dx, basis.dy, values))
 
 
 def order_unit_pairing(j: ChoiMatrix) -> float:

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 
-from .choi import ChoiMatrix, KrausSet, choi_from_kraus
+from .choi import ChoiMatrix, KrausSet, check_dims, choi_from_kraus
 from .errors import DomainError, ValidationError
 from .linalg import HERMITICITY_TOL, hermiticity_defect, res
 
@@ -90,8 +90,7 @@ def random_channel(dx: int, dy: int, kraus_rank: int, seed: int) -> ChoiMatrix:
     kraus_rank blocks of shape dy x dx and returns their Choi matrix.
     The isometry condition forces trace preservation.
     """
-    if dx < 1 or dy < 1:
-        raise DomainError(f"dimensions must be positive, got ({dx}, {dy})")
+    check_dims(dx, dy)
     if not 1 <= kraus_rank <= dx * dy:
         raise DomainError(
             f"kraus_rank must be in [1, {dx * dy}] for dims ({dx}, {dy}), got {kraus_rank}"

@@ -39,6 +39,12 @@ __all__ = [
 ]
 
 
+def check_dims(dx: int, dy: int) -> None:
+    """Raise ``DomainError`` unless both channel dimensions are positive."""
+    if dx < 1 or dy < 1:
+        raise DomainError(f"dimensions must be positive, got ({dx}, {dy})")
+
+
 @dataclass(frozen=True)
 class ChoiMatrix:
     """A Choi matrix of side dy*dx tagged with its (dx, dy) dimensions."""
@@ -48,8 +54,7 @@ class ChoiMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.dx < 1 or self.dy < 1:
-            raise DomainError(f"dimensions must be positive, got ({self.dx}, {self.dy})")
+        check_dims(self.dx, self.dy)
         m = np.asarray(self.matrix, dtype=complex)
         side = self.dx * self.dy
         if m.shape != (side, side):
@@ -73,8 +78,7 @@ class KrausSet:
     operators: np.ndarray
 
     def __post_init__(self):
-        if self.dx < 1 or self.dy < 1:
-            raise DomainError(f"dimensions must be positive, got ({self.dx}, {self.dy})")
+        check_dims(self.dx, self.dy)
         try:
             ops = np.asarray(self.operators, dtype=complex)
         except ValueError as exc:

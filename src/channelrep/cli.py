@@ -28,6 +28,7 @@ from .choi import (
 )
 from .errors import ChannelRepError, FileFormatError, NotInSubspaceError
 from .fileio import (
+    _encode_matrix,
     load_matrix_file,
     load_vector_file,
     matrix_file_to_choi,
@@ -56,7 +57,11 @@ def _load_choi(path):
     return matrix_file_to_choi(mf)
 
 
-def _cmd_represent(args) -> int:
+def _load_and_represent(args):
+    """Load ``args.input`` and represent it in the channel basis.
+
+    Returns (basis, j, v), or the exit code after reporting the failure.
+    """
     try:
         j = _load_choi(args.input)
     except (FileFormatError, ChannelRepError) as exc:
@@ -69,6 +74,14 @@ def _cmd_represent(args) -> int:
         return _fail(str(exc), EXIT_NOT_IN_SUBSPACE)
     except ChannelRepError as exc:
         return _fail(str(exc), EXIT_INPUT_ERROR)
+    return basis, j, v
+
+
+def _cmd_represent(args) -> int:
+    loaded = _load_and_represent(args)
+    if isinstance(loaded, int):
+        return loaded
+    _, j, v = loaded
     save_vector_file(args.output, j.dx, j.dy, v.values)
     print(f"dim_s {len(v)}")
     print(f"c0 {float(v.values[0])!r}")
@@ -104,18 +117,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
-    try:
-        j = _load_choi(args.input)
-    except (FileFormatError, ChannelRepError) as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR)
-    basis = channel_basis(j.dx, j.dy)
-    try:
-        v = represent(basis, j, membership_tol=args.membership_tol)
-    except NotInSubspaceError as exc:
-        print(f"residual_trace_norm {exc.residual_trace_norm!r}", file=sys.stderr)
-        return _fail(str(exc), EXIT_NOT_IN_SUBSPACE)
-    except ChannelRepError as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR)
+    loaded = _load_and_represent(args)
+    if isinstance(loaded, int):
+        return loaded
+    basis, j, v = loaded
     recovered = combine(basis, v)
     err = trace_norm(j.matrix - recovered.matrix)
     print(f"{err:.16e}")
@@ -128,12 +133,7 @@ def _cmd_basis(args) -> int:
     except ChannelRepError as exc:
         return _fail(str(exc), EXIT_INPUT_ERROR)
     elements = [
-        {
-            "label": list(label),
-            "matrix": [
-                [[float(z.real), float(z.imag)] for z in row] for row in element
-            ],
-        }
+        {"label": list(label), "matrix": _encode_matrix(element)}
         for label, element in zip(basis.labels, basis.elements)
     ]
     doc = {"dx": args.dx, "dy": args.dy, "dim_s": len(basis), "elements": elements}

@@ -53,6 +53,11 @@ class VectorFile:
     values: np.ndarray
 
 
+def _is_number(x) -> bool:
+    """JSON number check; ``bool`` is an ``int`` subclass but not a number here."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _encode_matrix(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
@@ -71,7 +76,7 @@ def _decode_matrix(rows, what: str) -> np.ndarray:
             if not isinstance(entry, list) or len(entry) != 2:
                 raise FileFormatError(f"{what}: entries must be [re, im] pairs")
             re, im = entry
-            if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+            if not _is_number(re) or not _is_number(im):
                 raise FileFormatError(f"{what}: entry components must be numbers")
             decoded.append(complex(re, im))
         out.append(decoded)
@@ -86,7 +91,7 @@ def _require_dims(doc: dict, what: str) -> tuple[int, int]:
         dx, dy = doc["dx"], doc["dy"]
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"{what}: missing dx/dy") from exc
-    if not isinstance(dx, int) or not isinstance(dy, int) or dx < 1 or dy < 1:
+    if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in (dx, dy)):
         raise FileFormatError(f"{what}: dx/dy must be positive integers")
     return dx, dy
 
@@ -158,9 +163,7 @@ def load_vector_file(path) -> VectorFile:
         raise FileFormatError(f"{path}: top level must be an object")
     dx, dy = _require_dims(doc, str(path))
     values = doc.get("values")
-    if not isinstance(values, list) or not all(
-        isinstance(v, (int, float)) for v in values
-    ):
+    if not isinstance(values, list) or not all(_is_number(v) for v in values):
         raise FileFormatError(f"{path}: values must be a list of numbers")
     expected = subspace_dimension(dx, dy)
     if len(values) != expected:

@@ -16,12 +16,18 @@ coefficient vectors are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = ["HermitianBasis", "hermitian_basis"]
+
+SQRT2 = np.sqrt(2)
+# Multiplying by this rounded constant, never dividing by SQRT2, keeps the
+# built elements entry-for-entry equal to the literal 1/sqrt(2) values.
+INV_SQRT2 = 1.0 / SQRT2
 
 Label = tuple
 
@@ -43,24 +49,45 @@ class HermitianBasis:
         return self.elements.shape[0]
 
 
-def _diagonal_element(d: int, k: int) -> np.ndarray:
-    m = np.zeros((d, d), dtype=complex)
-    m[np.arange(k), np.arange(k)] = 1.0
-    m[k, k] = -k
-    return m / np.sqrt(k + k * k)
+def helmert(d: int) -> np.ndarray:
+    """Real orthogonal d x d Helmert matrix: row 0 is 1/sqrt(d), row k >= 1 is
+    the traceless profile (1,..,1,-k,0,..,0)/sqrt(k + k^2) with k leading ones."""
+    h = np.zeros((d, d))
+    h[0] = 1.0 / np.sqrt(d)
+    for k in range(1, d):
+        h[k, :k] = 1.0
+        h[k, k] = -k
+        h[k] /= np.sqrt(k + k * k)
+    return h
 
 
-def _sym_element(d: int, a: int, b: int) -> np.ndarray:
-    m = np.zeros((d, d), dtype=complex)
-    m[a, b] = m[b, a] = 1.0 / np.sqrt(2)
-    return m
+def re_im(z: np.ndarray) -> np.ndarray:
+    """(..., p) complex -> (..., 2p) real: sqrt2*Re and sqrt2*Im, interleaved."""
+    return SQRT2 * np.stack([z.real, z.imag], axis=-1).reshape(z.shape[:-1] + (-1,))
 
 
-def _antisym_element(d: int, a: int, b: int) -> np.ndarray:
-    m = np.zeros((d, d), dtype=complex)
-    m[a, b] = 1j / np.sqrt(2)
-    m[b, a] = -1j / np.sqrt(2)
-    return m
+def from_re_im(c: np.ndarray) -> np.ndarray:
+    """Inverse of ``re_im``."""
+    return (c[..., 0::2] + 1j * c[..., 1::2]) * INV_SQRT2
+
+
+def block_coords(block: np.ndarray) -> np.ndarray:
+    """Coordinates (..., d^2) of Hermitian (..., d, d) blocks in the orthonormal
+    projector/sym/antisym basis: the real diagonal, then ``re_im`` of the
+    entries above it, row by row."""
+    a, b = np.triu_indices(block.shape[-1], 1)
+    diag = np.diagonal(block, axis1=-2, axis2=-1).real
+    return np.concatenate([diag, re_im(block[..., a, b])], axis=-1)
+
+
+def block_from_coords(c: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of ``block_coords``: the Hermitian (..., d, d) blocks."""
+    block = np.zeros(c.shape[:-1] + (d, d), dtype=complex)
+    a, b = np.triu_indices(d, 1)
+    block[..., np.arange(d), np.arange(d)] = c[..., :d]
+    block[..., a, b] = from_re_im(c[..., d:])
+    block[..., b, a] = block[..., a, b].conj()
+    return block
 
 
 def hermitian_basis(d: int) -> HermitianBasis:
@@ -70,17 +97,10 @@ def hermitian_basis(d: int) -> HermitianBasis:
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
-    elements = [np.eye(d, dtype=complex) / np.sqrt(d)]
-    labels: list[Label] = [("identity",)]
-    for k in range(1, d):
-        elements.append(_diagonal_element(d, k))
-        labels.append(("diagonal", k))
-    for a in range(d):
-        for b in range(a + 1, d):
-            elements.append(_sym_element(d, a, b))
-            labels.append(("sym", a, b))
-            elements.append(_antisym_element(d, a, b))
-            labels.append(("antisym", a, b))
-    stack = np.stack(elements)
+    diagonals = [np.diag(row) for row in helmert(d)]
+    stack = np.concatenate([diagonals, block_from_coords(np.eye(d * d)[d:], d)]).astype(complex)
+    labels: list[Label] = [("identity",)] + [("diagonal", k) for k in range(1, d)]
+    for a, b in combinations(range(d), 2):
+        labels += [("sym", a, b), ("antisym", a, b)]
     stack.setflags(write=False)
     return HermitianBasis(dim=d, elements=stack, labels=tuple(labels))

@@ -140,6 +140,70 @@ def get_basis(dx: int, dy: int):
     return channel_basis(dx, dy)
 
 
+def _diagonal_profiles(dy: int) -> list[np.ndarray]:
+    """Traceless diagonal vectors (1,..,1,-k,0,..)/sqrt(k+k^2) for k=1..dy-1."""
+    out = []
+    for k in range(1, dy):
+        v = np.zeros(dy)
+        v[:k] = 1.0
+        v[k] = -k
+        out.append(v / np.sqrt(k + k * k))
+    return out
+
+
+@lru_cache(maxsize=None)
+def dense_channel_basis(dx: int, dy: int) -> dict:
+    """Reference channel basis, element by element: {label: dense n x n element}.
+
+    The explicit Kronecker/positional construction, in basis order.  It is
+    the reference that ``ChannelBasis.elements``, ``represent`` and
+    ``combine`` are compared against; it costs O((dx*dy)^4) memory.
+    """
+    n = dx * dy
+    sqrt2 = np.sqrt(2)
+    elements = {("identity",): np.eye(n, dtype=complex) / np.sqrt(n)}
+    for k, profile in enumerate(_diagonal_profiles(dy), start=1):
+        d_y = np.diag(profile).astype(complex)
+        for x in range(dx):
+            proj = np.zeros((dx, dx), dtype=complex)
+            proj[x, x] = 1.0
+            elements[("diag_proj", k, x)] = np.kron(d_y, proj)
+        for a in range(dx):
+            for b in range(a + 1, dx):
+                sym = np.zeros((dx, dx), dtype=complex)
+                sym[a, b] = sym[b, a] = 1.0 / sqrt2
+                elements[("diag_sym", k, a, b)] = np.kron(d_y, sym)
+                antisym = np.zeros((dx, dx), dtype=complex)
+                antisym[a, b] = 1j / sqrt2
+                antisym[b, a] = -1j / sqrt2
+                elements[("diag_antisym", k, a, b)] = np.kron(d_y, antisym)
+    for y1 in range(dy):
+        for y2 in range(y1 + 1, dy):
+            for x1 in range(dx):
+                for x2 in range(dx):
+                    p, q = y1 * dx + x1, y2 * dx + x2
+                    sym = np.zeros((n, n), dtype=complex)
+                    sym[p, q] = sym[q, p] = 1.0 / sqrt2
+                    elements[("pair_sym", y1, x1, y2, x2)] = sym
+                    antisym = np.zeros((n, n), dtype=complex)
+                    antisym[p, q] = 1j / sqrt2
+                    antisym[q, p] = -1j / sqrt2
+                    elements[("pair_antisym", y1, x1, y2, x2)] = antisym
+    return elements
+
+
+def dense_represent(dx: int, dy: int, m) -> np.ndarray:
+    """Reference coefficients: Hilbert-Schmidt overlaps with every dense element."""
+    stack = np.stack(list(dense_channel_basis(dx, dy).values()))
+    return np.tensordot(stack.conj(), np.asarray(m, dtype=complex), axes=([1, 2], [0, 1])).real
+
+
+def dense_combine(dx: int, dy: int, v) -> np.ndarray:
+    """Reference reassembly: sum_k v[k] * element_k over the dense elements."""
+    stack = np.stack(list(dense_channel_basis(dx, dy).values()))
+    return np.tensordot(np.asarray(v, dtype=float), stack, axes=1)
+
+
 def multiset_dev(got, expected) -> float:
     """Max componentwise deviation after sorting both value multisets."""
     got = np.sort(np.asarray(got, dtype=float))

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from channelrep import (
     ChoiMatrix,
@@ -22,6 +26,7 @@ from channelrep import (
     trace_norm,
     unitary_channel,
 )
+from channelrep.channel_basis import _gather
 
 from fixtures import (
     CORRELATION_FULL,
@@ -29,11 +34,18 @@ from fixtures import (
     HADAMARD_CHOI,
     HADAMARD_COEFF_MULTISET,
     SCHUR_COEFF_MULTISET,
+    dense_channel_basis,
+    dense_combine,
+    dense_represent,
     feasible_triples,
     get_basis,
     multiset_dev,
     rand_hermitian,
 )
+
+# Shapes for comparisons against the dense reference: (d, d), (d, d+1),
+# (d+1, d), and a trivial input or output factor.
+REFERENCE_DIMS = [(2, 2), (3, 3), (2, 3), (3, 4), (3, 2), (4, 3), (1, 1), (1, 3), (3, 1)]
 
 
 def test_subspace_dimension_examples():
@@ -272,3 +284,89 @@ def test_represent_combine_on_hadamard():
     rec = combine(b, represent(b, j))
     assert trace_norm(j.matrix - rec.matrix) <= 1e-12
     assert np.abs(rec.matrix - HADAMARD_CHOI).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dx", range(1, 6))
+@pytest.mark.parametrize("dy", range(1, 6))
+def test_elements_equal_dense_reference(dx, dy):
+    ref = dense_channel_basis(dx, dy)
+    b = channel_basis(dx, dy)
+    assert b.labels == tuple(ref)
+    assert np.array_equal(b.elements, np.stack(list(ref.values())))
+    assert not b.elements.flags.writeable
+    # Reading the whole stack at once (leading batch axis) inverts the write.
+    assert np.abs(_gather(dx, dy, b.elements) - np.eye(len(b))).max() <= 1e-15
+
+
+@pytest.mark.parametrize("dx,dy", REFERENCE_DIMS)
+def test_represent_combine_match_dense_reference(dx, dy):
+    rng = np.random.default_rng(410 + 10 * dx + dy)
+    b = channel_basis(dx, dy)
+    for i in range(3):
+        j = random_channel(dx, dy, dx * dy, seed=420 + i).matrix
+        v = rng.standard_normal(len(b))
+        in_s = j + dense_combine(dx, dy, v)
+        assert np.abs(represent(b, in_s).values - dense_represent(dx, dy, in_s)).max() <= 1e-12
+        assert np.abs(combine(b, v).matrix - dense_combine(dx, dy, v)).max() <= 1e-12
+    assert "elements" not in b.__dict__  # represent/combine never build the stack
+
+
+@pytest.mark.parametrize("dx,dy", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_residual_matches_dense_projection(dx, dy):
+    rng = np.random.default_rng(430)
+    m = rand_hermitian(rng, dx * dy)
+    with pytest.raises(NotInSubspaceError) as exc_info:
+        represent(get_basis(dx, dy), m)
+    dense_residual = trace_norm(m - dense_combine(dx, dy, dense_represent(dx, dy, m)))
+    reduced = np.einsum("abac->bc", m.reshape(dy, dx, dy, dx))
+    formula = trace_norm(reduced - np.trace(reduced) / dx * np.eye(dx))
+    got = exc_info.value.residual_trace_norm
+    assert got == pytest.approx(dense_residual, rel=1e-9)
+    assert got == pytest.approx(formula, rel=1e-9)
+
+
+def test_round_trip_16x16_bounded_memory():
+    # The dense element stack alone would take about 68 GB at this size.
+    j = random_channel(16, 16, 3, seed=440)
+    tracemalloc.start()
+    try:
+        b = channel_basis(16, 16)
+        rec = combine(b, represent(b, j))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert trace_norm(j.matrix - rec.matrix) <= 1e-12 * 16
+
+
+@st.composite
+def _channels(draw):
+    dx, dy = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rank = draw(st.integers(-(-dx // dy), dx * dy))
+    return random_channel(dx, dy, rank, seed=draw(st.integers(0, 2**31 - 1)))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(_channels())
+def test_scaled_channel_accepted(j):
+    scale = 1e8
+    v = represent(get_basis(j.dx, j.dy), j.matrix * scale)
+    assert v.values[0] == pytest.approx(scale * np.sqrt(j.dx / j.dy), rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    _channels().filter(lambda j: j.dx > 1),
+    st.floats(1e-4, 1e4),
+    st.sampled_from([1.0, 1e8]),
+    st.integers(0, 2**31 - 1),
+)
+def test_sperp_direction_rejected_at_any_scale(j, t, scale, seed):
+    h = rand_hermitian(np.random.default_rng(seed), j.dx)
+    h -= np.trace(h) / j.dx * np.eye(j.dx)
+    h /= np.linalg.norm(h)
+    m = scale * (j.matrix + t * kron(np.eye(j.dy), h))
+    with pytest.raises(NotInSubspaceError) as exc_info:
+        represent(get_basis(j.dx, j.dy), m)
+    want = scale * t * j.dy * trace_norm(h)
+    assert exc_info.value.residual_trace_norm == pytest.approx(want, rel=1e-9)

@@ -93,6 +93,15 @@ def test_combine_length_mismatch_exit_2(tmp_path):
     assert main(["combine", str(vec), "--output", str(tmp_path / "j.json")]) == 2
 
 
+def test_combine_bool_vector_exit_2(tmp_path, capsys):
+    vec = tmp_path / "v.json"
+    vec.write_text(json.dumps({"dx": True, "dy": True, "values": [True]}))
+    out = tmp_path / "j.json"
+    assert main(["combine", str(vec), "--output", str(out)]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_hadamard(tmp_path, capsys):
     inp = _hadamard_file(tmp_path)
     assert main(["check", str(inp)]) == 0

@@ -155,3 +155,20 @@ def test_vector_load_errors(tmp_path):
     _write(path, {"dy": 2, "values": [0.0] * 13})
     with pytest.raises(FileFormatError):
         load_vector_file(path)
+
+
+@pytest.mark.parametrize(
+    "loader,doc",
+    [
+        (load_vector_file, {"dx": True, "dy": True, "values": [True]}),
+        (load_vector_file, {"dx": 1, "dy": 1, "values": [True]}),
+        (load_matrix_file, {"kind": "choi", "dx": True, "dy": 1, "data": [[[1.0, 0.0]]]}),
+        (load_matrix_file, {"kind": "choi", "dx": 1, "dy": 1, "data": [[[True, 0.0]]]}),
+        (load_matrix_file, {"kind": "choi", "dx": 1, "dy": 1, "data": [[[1.0, False]]]}),
+    ],
+)
+def test_booleans_are_not_numbers(tmp_path, loader, doc):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FileFormatError):
+        loader(path)
