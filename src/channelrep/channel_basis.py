@@ -32,7 +32,10 @@ projector family.  Every element sits on a single pair of input indices,
 so ``represent`` reads the coefficients off the Choi blocks J[y1,:,y2,:]
 (Re/Im of the blocks above the diagonal, the diagonal blocks mixed by the
 Helmert profiles) and ``combine`` writes them back; neither builds the
-O((dx*dy)^4) element stack ``ChannelBasis.elements``.
+O((dx*dy)^4) element stack ``ChannelBasis.elements``.  Where each coefficient
+is read or written is a fixed index pattern for given (dx, dy); each basis
+builds its O((dx*dy)^2) index tables on first use and keeps them, so a call
+is a few array operations on the flat float view of J.
 
 Tolerances are relative to s = max(1, ||J||_F), so the verdict of
 ``represent`` does not depend on units: J is rejected as non-Hermitian when
@@ -49,13 +52,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
+from typing import NamedTuple
 
 import numpy as np
 
 from .choi import ChoiMatrix, check_dims
 from .errors import DimensionError, NotInSubspaceError, ValidationError
-from .hermitian_basis import block_coords, block_from_coords, from_re_im, helmert, re_im
-from .hermitian_basis import hermitian_basis
+from .hermitian_basis import INV_SQRT2, SQRT2, helmert, hermitian_basis
 from .linalg import HERMITICITY_TOL, hermiticity_defect, kron, partial_trace_first, trace_norm
 
 __all__ = [
@@ -83,6 +86,37 @@ def subspace_dimension(dx: int, dy: int) -> int:
     return dx * dx * dy * dy - dx * dx + 1
 
 
+class _Tables(NamedTuple):
+    """Where each coefficient of a basis lives in the flat float view of J.
+
+    Positions index ``J.reshape(-1).view(float)``: the real part of entry
+    (r, c) sits at 2*(r*n + c) and its imaginary part right after it.
+    """
+
+    block: np.ndarray  # (dy, dx^2): per diagonal block, real diagonal, then [re, im] above it
+    block_mirror: np.ndarray  # (dy, dx^2): the same entries of J^T
+    pair: np.ndarray  # (2P,): [re, im] of the J[y1,:,y2,:] entries, y1 < y2
+    pair_mirror: np.ndarray  # (2P,): the same entries of J^T
+    weight: np.ndarray  # (dx^2,): 1 on a block's real diagonal, sqrt2 above it
+    inv_weight: np.ndarray  # (dx^2,): 1 / weight
+    mirror_weight: np.ndarray  # (dx^2,): inv_weight, negated on imaginary parts
+    profiles: np.ndarray  # (dy-1, dy): Helmert rows 1.., which mix the diagonal blocks
+
+
+def _float_positions(dx: int, dy: int, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(block, pair) float-view positions, in coefficient order, of the
+    complex entries numbered by ``flat`` (n, n)."""
+    u = flat.reshape(dy, dx, dy, dx).swapaxes(1, 2)  # [y1, y2] = J[y1,:,y2,:]
+    ys, (y1, y2), (a, b) = np.arange(dy), np.triu_indices(dy, 1), np.triu_indices(dx, 1)
+
+    def re_im(p):
+        return np.stack([2 * p, 2 * p + 1], axis=-1).reshape(p.shape[:-1] + (-1,))
+
+    blocks = u[ys, ys]
+    diag = 2 * np.diagonal(blocks, axis1=-2, axis2=-1)
+    return np.concatenate([diag, re_im(blocks[:, a, b])], axis=-1), re_im(u[y1, y2].reshape(-1))
+
+
 @dataclass(frozen=True)
 class ChannelBasis:
     """Ordered orthonormal basis of S for fixed (dx, dy).
@@ -107,9 +141,34 @@ class ChannelBasis:
         Element k is ``combine`` of the k-th unit vector.  It takes
         O((dx*dy)^4) memory; ``represent`` and ``combine`` never need it.
         """
-        stack = _scatter(self.dx, self.dy, np.eye(len(self)))
+        stack = _scatter(self, np.eye(len(self)))
         stack.setflags(write=False)
         return stack
+
+    @cached_property
+    def _tables(self) -> _Tables:
+        """Index tables of ``represent``/``combine``, built on first use.
+
+        2*(dx*dy)^2 int32 positions, 8 bytes per Choi entry, plus
+        O(dx^2 + dy^2) weights.  int32 holds positions up to a side dx*dy
+        of 2^15, far beyond what the label tuple alone leaves room for.
+        """
+        dx, dy, n = self.dx, self.dy, self.dx * self.dy
+        flat = np.arange(n * n, dtype=np.int32).reshape(n, n)
+        block, pair = _float_positions(dx, dy, flat)
+        block_mirror, pair_mirror = _float_positions(dx, dy, flat.T)
+        on_diagonal = np.arange(dx * dx) < dx
+        inv_weight = np.where(on_diagonal, 1.0, INV_SQRT2)
+        return _Tables(
+            block=block,
+            block_mirror=block_mirror,
+            pair=pair,
+            pair_mirror=pair_mirror,
+            weight=np.where(on_diagonal, 1.0, SQRT2),
+            inv_weight=inv_weight,
+            mirror_weight=np.where(block[0] % 2, -inv_weight, inv_weight),
+            profiles=helmert(dy)[1:],
+        )
 
 
 @dataclass(frozen=True)
@@ -165,33 +224,34 @@ def channel_basis(dx: int, dy: int) -> ChannelBasis:
     return ChannelBasis(dx=dx, dy=dy, labels=tuple(labels))
 
 
-def _gather(dx: int, dy: int, m: np.ndarray) -> np.ndarray:
+def _gather(basis: ChannelBasis, m: np.ndarray) -> np.ndarray:
     """Coefficients (..., dim S) of Choi matrices (..., n, n), read from their blocks.
 
     For Hermitian input these are the overlaps <E_k, J> with the basis
     elements; entries below the diagonal are not read.
     """
-    u = m.reshape(m.shape[:-2] + (dy, dx, dy, dx)).swapaxes(-3, -2)  # [.., y1, y2] = J[y1,:,y2,:]
-    ys, (y1, y2), flat = np.arange(dy), np.triu_indices(dy, 1), m.shape[:-2] + (-1,)
-    identity = np.trace(m, axis1=-2, axis2=-1).real[..., None] / np.sqrt(dx * dy)
-    diag = helmert(dy)[1:] @ block_coords(u[..., ys, ys, :, :])
-    pairs = re_im(u[..., y1, y2, :, :].reshape(flat))
-    return np.concatenate([identity, diag.reshape(flat), pairs], axis=-1)
+    t, batch = basis._tables, m.shape[:-2]
+    m = np.ascontiguousarray(m)
+    f = m.reshape(batch + (-1,)).view(float)
+    identity = np.trace(m, axis1=-2, axis2=-1).real[..., None] / np.sqrt(basis.dx * basis.dy)
+    diag = t.profiles @ (np.take(f, t.block, axis=-1) * t.weight)
+    pairs = SQRT2 * np.take(f, t.pair, axis=-1)
+    return np.concatenate([identity, diag.reshape(batch + (-1,)), pairs], axis=-1)
 
 
-def _scatter(dx: int, dy: int, values: np.ndarray) -> np.ndarray:
+def _scatter(basis: ChannelBasis, values: np.ndarray) -> np.ndarray:
     """Inverse of ``_gather``: Choi matrices (..., n, n) from coefficients (..., dim S)."""
-    n, batch, split = dx * dy, values.shape[:-1], 1 + (dy - 1) * dx * dx
-    ys, (y1, y2) = np.arange(dy), np.triu_indices(dy, 1)
-    m = np.zeros(batch + (n, n), dtype=complex)
-    u = m.reshape(batch + (dy, dx, dy, dx)).swapaxes(-3, -2)  # a view: writes land in m
-    diag = values[..., 1:split].reshape(batch + (dy - 1, dx * dx))
-    u[..., ys, ys, :, :] = block_from_coords(helmert(dy)[1:].T @ diag, dx)
-    pairs = from_re_im(values[..., split:]).reshape(batch + (len(y1), dx, dx))
-    u[..., y1, y2, :, :] = pairs
-    u[..., y2, y1, :, :] = pairs.conj().swapaxes(-1, -2)
-    m[..., np.arange(n), np.arange(n)] += values[..., :1] / np.sqrt(n)
-    return m
+    t, batch, dx, dy = basis._tables, values.shape[:-1], basis.dx, basis.dy
+    n, split = dx * dy, 1 + (dy - 1) * dx * dx
+    coords = t.profiles.T @ values[..., 1:split].reshape(batch + (dy - 1, dx * dx))
+    pairs = values[..., split:] * INV_SQRT2
+    f = np.zeros(batch + (2 * n * n,))
+    f[..., t.block_mirror] = coords * t.mirror_weight
+    f[..., t.block] = coords * t.inv_weight
+    f[..., t.pair_mirror] = pairs.view(complex).conj().view(float)
+    f[..., t.pair] = pairs
+    f[..., :: 2 * (n + 1)] += values[..., :1] / np.sqrt(n)  # real parts of the diagonal
+    return f.view(complex).reshape(batch + (n, n))
 
 
 def _coerce_choi(basis: ChannelBasis, j) -> np.ndarray:
@@ -230,7 +290,7 @@ def represent(
     resid_norm = trace_norm(reduced - np.trace(reduced) / basis.dx * np.eye(basis.dx))
     if resid_norm > membership_tol * scale:
         raise NotInSubspaceError(resid_norm)
-    values = _gather(basis.dx, basis.dy, m)
+    values = _gather(basis, m)
     return CoefficientVector(dx=basis.dx, dy=basis.dy, values=values)
 
 
@@ -254,7 +314,7 @@ def combine(basis: ChannelBasis, v) -> ChoiMatrix:
             raise DimensionError(
                 f"expected {len(basis)} coefficients, got shape {values.shape}"
             )
-    return ChoiMatrix(dx=basis.dx, dy=basis.dy, matrix=_scatter(basis.dx, basis.dy, values))
+    return ChoiMatrix(dx=basis.dx, dy=basis.dy, matrix=_scatter(basis, values))
 
 
 def order_unit_pairing(j: ChoiMatrix) -> float:

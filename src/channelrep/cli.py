@@ -9,7 +9,7 @@ or stdout.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 
 import numpy as np
@@ -29,6 +29,7 @@ from .choi import (
 from .errors import ChannelRepError, FileFormatError, NotInSubspaceError
 from .fileio import (
     _encode_matrix,
+    _write_json,
     load_matrix_file,
     load_vector_file,
     matrix_file_to_choi,
@@ -50,6 +51,26 @@ ROUNDTRIP_PASS_THRESHOLD = 1e-12
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for tolerance flags: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
+def _save(save, path, *args) -> int:
+    """Call ``save(path, *args)``; an unwritable path is an input error."""
+    try:
+        save(path, *args)
+    except OSError as exc:
+        return _fail(f"cannot write {path}: {exc.strerror or exc}", EXIT_INPUT_ERROR)
+    return EXIT_OK
 
 
 def _load_choi(path):
@@ -82,7 +103,8 @@ def _cmd_represent(args) -> int:
     if isinstance(loaded, int):
         return loaded
     _, j, v = loaded
-    save_vector_file(args.output, j.dx, j.dy, v.values)
+    if code := _save(save_vector_file, args.output, j.dx, j.dy, v.values):
+        return code
     print(f"dim_s {len(v)}")
     print(f"c0 {float(v.values[0])!r}")
     return EXIT_OK
@@ -95,8 +117,7 @@ def _cmd_combine(args) -> int:
         return _fail(str(exc), EXIT_INPUT_ERROR)
     basis = channel_basis(vf.dx, vf.dy)
     j = combine(basis, vf.values)
-    save_matrix_file(args.output, "choi", vf.dx, vf.dy, j.matrix)
-    return EXIT_OK
+    return _save(save_matrix_file, args.output, "choi", vf.dx, vf.dy, j.matrix)
 
 
 def _cmd_check(args) -> int:
@@ -137,9 +158,8 @@ def _cmd_basis(args) -> int:
         for label, element in zip(basis.labels, basis.elements)
     ]
     doc = {"dx": args.dx, "dy": args.dy, "dim_s": len(basis), "elements": elements}
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    if code := _save(_write_json, args.output, doc):
+        return code
     print(f"dim_s {len(basis)}")
     return EXIT_OK
 
@@ -149,8 +169,7 @@ def _cmd_random(args) -> int:
         j = random_channel(args.dx, args.dy, args.rank, args.seed)
     except ChannelRepError as exc:
         return _fail(str(exc), EXIT_INPUT_ERROR)
-    save_matrix_file(args.output, "choi", args.dx, args.dy, j.matrix)
-    return EXIT_OK
+    return _save(save_matrix_file, args.output, "choi", args.dx, args.dy, j.matrix)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -163,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("represent", help="matrix file -> coefficient vector file")
     p.add_argument("input", help="matrix file (choi/unitary/correlation/kraus)")
     p.add_argument("--output", required=True, help="vector file to write")
-    p.add_argument("--membership-tol", type=float, default=MEMBERSHIP_TOL)
+    p.add_argument("--membership-tol", type=_tolerance, default=MEMBERSHIP_TOL)
     p.set_defaults(func=_cmd_represent)
 
     p = sub.add_parser("combine", help="coefficient vector file -> Choi matrix file")
@@ -173,12 +192,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="report CP/TP/HP status of a channel file")
     p.add_argument("input", help="matrix file")
-    p.add_argument("--tol", type=float, default=HERMITICITY_TOL)
+    p.add_argument("--tol", type=_tolerance, default=HERMITICITY_TOL)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("roundtrip", help="represent+combine and report the trace-norm error")
     p.add_argument("input", help="matrix file")
-    p.add_argument("--membership-tol", type=float, default=MEMBERSHIP_TOL)
+    p.add_argument("--membership-tol", type=_tolerance, default=MEMBERSHIP_TOL)
     p.set_defaults(func=_cmd_roundtrip)
 
     p = sub.add_parser("basis", help="dump the labeled channel-subspace basis")

@@ -138,6 +138,13 @@ def load_matrix_file(path) -> MatrixFile:
     return MatrixFile(kind=kind, dx=dx, dy=dy, data=m)
 
 
+def _write_json(path, doc) -> None:
+    """Write ``doc`` as one line of JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
+
+
 def save_matrix_file(path, kind: str, dx: int, dy: int, data) -> None:
     """Write a matrix file with canonical field order and full precision."""
     if kind not in MATRIX_KINDS:
@@ -146,10 +153,7 @@ def save_matrix_file(path, kind: str, dx: int, dy: int, data) -> None:
         payload = [_encode_matrix(m) for m in data]
     else:
         payload = _encode_matrix(data)
-    doc = {"kind": kind, "dx": int(dx), "dy": int(dy), "data": payload}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    _write_json(path, {"kind": kind, "dx": int(dx), "dy": int(dy), "data": payload})
 
 
 def load_vector_file(path) -> VectorFile:
@@ -183,9 +187,7 @@ def save_vector_file(path, dx: int, dy: int, values) -> None:
         "dy": int(dy),
         "values": [float(v) for v in np.asarray(values, dtype=float)],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def matrix_file_to_choi(mf: MatrixFile) -> ChoiMatrix:

@@ -61,31 +61,14 @@ def helmert(d: int) -> np.ndarray:
     return h
 
 
-def re_im(z: np.ndarray) -> np.ndarray:
-    """(..., p) complex -> (..., 2p) real: sqrt2*Re and sqrt2*Im, interleaved."""
-    return SQRT2 * np.stack([z.real, z.imag], axis=-1).reshape(z.shape[:-1] + (-1,))
-
-
-def from_re_im(c: np.ndarray) -> np.ndarray:
-    """Inverse of ``re_im``."""
-    return (c[..., 0::2] + 1j * c[..., 1::2]) * INV_SQRT2
-
-
-def block_coords(block: np.ndarray) -> np.ndarray:
-    """Coordinates (..., d^2) of Hermitian (..., d, d) blocks in the orthonormal
-    projector/sym/antisym basis: the real diagonal, then ``re_im`` of the
-    entries above it, row by row."""
-    a, b = np.triu_indices(block.shape[-1], 1)
-    diag = np.diagonal(block, axis1=-2, axis2=-1).real
-    return np.concatenate([diag, re_im(block[..., a, b])], axis=-1)
-
-
 def block_from_coords(c: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of ``block_coords``: the Hermitian (..., d, d) blocks."""
+    """Hermitian (..., d, d) blocks from their coordinates (..., d^2) in the
+    orthonormal projector/sym/antisym basis: the real diagonal, then
+    sqrt2*Re and sqrt2*Im of each entry above it, row by row."""
     block = np.zeros(c.shape[:-1] + (d, d), dtype=complex)
     a, b = np.triu_indices(d, 1)
     block[..., np.arange(d), np.arange(d)] = c[..., :d]
-    block[..., a, b] = from_re_im(c[..., d:])
+    block[..., a, b] = (c[..., d::2] + 1j * c[..., d + 1::2]) * INV_SQRT2
     block[..., b, a] = block[..., a, b].conj()
     return block
 

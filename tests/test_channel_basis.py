@@ -26,7 +26,7 @@ from channelrep import (
     trace_norm,
     unitary_channel,
 )
-from channelrep.channel_basis import _gather
+from channelrep.channel_basis import _gather, _scatter
 
 from fixtures import (
     CORRELATION_FULL,
@@ -295,7 +295,7 @@ def test_elements_equal_dense_reference(dx, dy):
     assert np.array_equal(b.elements, np.stack(list(ref.values())))
     assert not b.elements.flags.writeable
     # Reading the whole stack at once (leading batch axis) inverts the write.
-    assert np.abs(_gather(dx, dy, b.elements) - np.eye(len(b))).max() <= 1e-15
+    assert np.abs(_gather(b, b.elements) - np.eye(len(b))).max() <= 1e-15
 
 
 @pytest.mark.parametrize("dx,dy", REFERENCE_DIMS)
@@ -337,6 +337,40 @@ def test_round_trip_16x16_bounded_memory():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert trace_norm(j.matrix - rec.matrix) <= 1e-12 * 16
+
+
+@pytest.mark.parametrize("dx,dy", [d for d in REFERENCE_DIMS if d != (1, 1)])
+def test_represent_non_contiguous_input(dx, dy):
+    b = channel_basis(dx, dy)
+    j = random_channel(dx, dy, dx * dy, seed=450).matrix
+    # Every other column: its rows still flatten to one strided run of entries.
+    wide = np.zeros((dx * dy, 2 * dx * dy), dtype=complex)
+    wide[:, ::2] = j
+    for m in [j.T.conj(), np.asfortranarray(j), wide[:, ::2]]:
+        assert not m.flags.c_contiguous
+        assert np.array_equal(represent(b, m).values, represent(b, m.copy(order="C")).values)
+
+
+@pytest.mark.parametrize("dx,dy", REFERENCE_DIMS)
+def test_batch_gather_scatter_equal_per_item(dx, dy):
+    rng = np.random.default_rng(460)
+    b, n = channel_basis(dx, dy), dx * dy
+    ms = np.stack([rand_hermitian(rng, n) for _ in range(4)])
+    vs = rng.standard_normal((4, len(b)))
+    assert np.array_equal(_gather(b, ms), np.stack([_gather(b, m) for m in ms]))
+    assert np.array_equal(_scatter(b, vs), np.stack([_scatter(b, v) for v in vs]))
+
+
+def test_index_tables_built_once_per_basis():
+    b = channel_basis(3, 2)
+    j = random_channel(3, 2, 2, seed=470)
+    assert "_tables" not in b.__dict__
+    v = represent(b, j)
+    tables = b.__dict__["_tables"]
+    combine(b, represent(b, j))
+    assert b.__dict__["_tables"] is tables
+    assert "_tables" not in channel_basis(3, 2).__dict__  # held by the basis, not shared
+    assert np.array_equal(represent(channel_basis(3, 2), j).values, v.values)
 
 
 @st.composite

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from channelrep import kron
-from channelrep.cli import main
+from channelrep.cli import _build_parser, main
 from channelrep.fileio import load_matrix_file, load_vector_file, save_matrix_file, save_vector_file
 
 from fixtures import (
@@ -214,6 +214,54 @@ def test_random_invalid_rank_exit_2(tmp_path, capsys):
     )
     assert code == 2
     capsys.readouterr()
+
+
+def _write_argv(tmp_path, command, out):
+    """argv of ``command`` writing its result to ``out``."""
+    if command == "represent":
+        return ["represent", str(_hadamard_file(tmp_path)), "--output", out]
+    if command == "combine":
+        vec = tmp_path / "v.json"
+        save_vector_file(vec, 2, 2, np.zeros(13))
+        return ["combine", str(vec), "--output", out]
+    if command == "random":
+        return ["random", "--dx", "2", "--dy", "2", "--rank", "1", "--seed", "0", "--output", out]
+    return ["basis", "--dx", "2", "--dy", "2", "--output", out]
+
+
+@pytest.mark.parametrize("command", ["represent", "combine", "random", "basis"])
+def test_unwritable_output_exit_2(tmp_path, capsys, command):
+    out = str(tmp_path / "missing" / "out.json")
+    assert main(_write_argv(tmp_path, command, out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "command,flag",
+    [("represent", "--membership-tol"), ("roundtrip", "--membership-tol"), ("check", "--tol")],
+)
+def test_tolerance_flag_rejects_non_finite_or_negative(tmp_path, capsys, command, flag, value):
+    j = kron(np.eye(2), np.diag([1.0, -1.0]))  # wholly outside S, and not CP
+    inp = tmp_path / "perp.json"
+    save_matrix_file(inp, "choi", 2, 2, j)
+    argv = [command, str(inp), f"{flag}={value}"]
+    if command == "represent":
+        argv += ["--output", str(tmp_path / "v.json")]
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    assert f"expected a finite number >= 0, got '{value}'" in capsys.readouterr().err
+    assert not (tmp_path / "v.json").exists()
+
+
+def test_tolerance_flags_accept_zero():
+    parser = _build_parser()
+    assert parser.parse_args(["check", "in.json", "--tol", "0"]).tol == 0.0
+    args = parser.parse_args(["roundtrip", "in.json", "--membership-tol", "0"])
+    assert args.membership_tol == 0.0
 
 
 def test_console_invocation(tmp_path):
