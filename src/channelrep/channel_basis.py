@@ -37,11 +37,13 @@ is read or written is a fixed index pattern for given (dx, dy); each basis
 builds its O((dx*dy)^2) index tables on first use and keeps them, so a call
 is a few array operations on the flat float view of J.
 
-Tolerances are relative to s = max(1, ||J||_F), so the verdict of
-``represent`` does not depend on units: J is rejected as non-Hermitian when
-its max-abs defect exceeds HERMITICITY_TOL * s, and as outside S when the
-trace norm of its projection onto the complement, ||Tr_Y J - (tr J/dx) I||_1,
-exceeds membership_tol * s.
+Tolerances are relative to s = max(1, ||J||_F), so the verdicts of
+``represent`` and ``order_unit_pairing`` do not depend on units: J is
+rejected as non-Hermitian when its max-abs defect exceeds
+HERMITICITY_TOL * s, and by ``represent`` as outside S when the trace norm
+of its projection onto the complement, ||Tr_Y J - (tr J/dx) I||_1, exceeds
+membership_tol * s.  A J whose norm is not finite (NaN or inf entries, or
+entries so large that ||J||_F overflows) is rejected before either check.
 
 The first coefficient of any CP+TP Choi matrix equals sqrt(dx/dy), and the
 pairing <I/dx, J> (``order_unit_pairing``) equals 1 exactly on channels.
@@ -188,7 +190,7 @@ class CoefficientVector:
                 f"length {expected}, got shape {vals.shape}"
             )
         if not np.isfinite(vals).all():
-            raise ValueError("coefficient vector contains non-finite entries")
+            raise ValidationError("coefficient vector contains non-finite entries")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -269,6 +271,20 @@ def _coerce_choi(basis: ChannelBasis, j) -> np.ndarray:
     return m
 
 
+def _scale(m: np.ndarray) -> float:
+    """s = max(1, ||m||_F), the scale that the tolerances of S are relative to.
+
+    Raises ``ValidationError`` when the norm is not finite (a NaN or inf
+    entry, or entries so large that it overflows): every tolerance would
+    then be NaN or inf.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(m))
+    if not np.isfinite(norm):
+        raise ValidationError(f"matrix has a non-finite Frobenius norm ({norm})")
+    return max(1.0, norm)
+
+
 def represent(
     basis: ChannelBasis,
     j,
@@ -282,7 +298,7 @@ def represent(
     residual trace norm of an input outside S.
     """
     m = _coerce_choi(basis, j)
-    scale = max(1.0, float(np.linalg.norm(m)))
+    scale = _scale(m)
     defect = hermiticity_defect(m)
     if defect > HERMITICITY_TOL * scale:
         raise ValidationError(f"matrix is not Hermitian (max defect {defect:.3e})")
@@ -323,9 +339,10 @@ def order_unit_pairing(j: ChoiMatrix) -> float:
     Scaling is linear: the pairing of t*J is t.  Together with positive
     semidefiniteness and membership in S, pairing 1 already forces trace
     preservation, so the channel set is exactly the unit-pairing slice of
-    the positive cone in S.
+    the positive cone in S.  J is rejected as non-Hermitian under the same
+    scale-relative tolerance as in ``represent``.
     """
     defect = hermiticity_defect(j.matrix)
-    if defect > HERMITICITY_TOL:
+    if defect > HERMITICITY_TOL * _scale(j.matrix):
         raise ValidationError(f"matrix is not Hermitian (max defect {defect:.3e})")
     return float(np.trace(j.matrix).real) / j.dx

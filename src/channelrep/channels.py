@@ -12,7 +12,13 @@ import numpy as np
 
 from .choi import ChoiMatrix, KrausSet, check_dims, choi_from_kraus
 from .errors import DomainError, ValidationError
-from .linalg import HERMITICITY_TOL, hermiticity_defect, res
+from .linalg import (
+    HERMITICITY_TOL,
+    hermiticity_defect,
+    is_positive_semidefinite,
+    min_eigenvalue_hermitian,
+    res,
+)
 
 __all__ = [
     "NotCompletelyPositiveWarning",
@@ -61,16 +67,15 @@ def schur_channel(a, cp_tol: float = HERMITICITY_TOL) -> ChoiMatrix:
 
     ``a`` must be Hermitian with unit diagonal; the channel is then always
     trace preserving.  It is completely positive exactly when ``a`` is
-    positive semidefinite; if the smallest eigenvalue of ``a`` is below
-    ``-cp_tol`` the construction still succeeds but a
-    ``NotCompletelyPositiveWarning`` is emitted.
+    positive semidefinite; if ``a`` is not positive semidefinite within
+    ``cp_tol`` (the rule of ``is_completely_positive``) the construction
+    still succeeds but a ``NotCompletelyPositiveWarning`` is emitted.
     """
     a = validate_correlation(a)
     d = a.shape[0]
-    min_eig = float(np.linalg.eigvalsh((a + a.conj().T) / 2)[0])
-    if min_eig < -cp_tol:
+    if not is_positive_semidefinite(a, cp_tol):
         warnings.warn(
-            f"correlation matrix has min eigenvalue {min_eig:.3e}; "
+            f"correlation matrix has min eigenvalue {min_eigenvalue_hermitian(a):.3e}; "
             "the resulting map is not completely positive",
             NotCompletelyPositiveWarning,
             stacklevel=2,

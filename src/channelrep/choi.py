@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, ValidationError
 from .linalg import (
     HERMITICITY_TOL,
     hermiticity_defect,
-    min_eigenvalue_hermitian,
+    is_positive_semidefinite,
     partial_trace_first,
     res,
 )
@@ -63,7 +63,7 @@ class ChoiMatrix:
                 f"{side}x{side}, got {m.shape}"
             )
         if not np.isfinite(m).all():
-            raise ValueError("Choi matrix contains non-finite entries")
+            raise ValidationError("Choi matrix contains non-finite entries")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -93,7 +93,7 @@ class KrausSet:
                 f"got shape {ops.shape[1:]}"
             )
         if not np.isfinite(ops).all():
-            raise ValueError("Kraus operators contain non-finite entries")
+            raise ValidationError("Kraus operators contain non-finite entries")
         ops = ops.copy()
         ops.setflags(write=False)
         object.__setattr__(self, "operators", ops)
@@ -123,12 +123,21 @@ def apply_channel(j: ChoiMatrix, x) -> np.ndarray:
 
 
 def is_completely_positive(j: ChoiMatrix, tol: float = HERMITICITY_TOL) -> bool:
-    """CP iff the Choi matrix is Hermitian and positive semidefinite within tol."""
+    """CP iff the Choi matrix is Hermitian and positive semidefinite within tol.
+
+    Hermitian within tol means a max-abs defect of J - J^dag at most tol.
+    Positive semidefinite within tol is decided by one Cholesky
+    factorisation of H + tol*I, H the Hermitian part of J: if it succeeds,
+    J is accepted; if it refuses, the eigenvalue rule lambda_min(H) >= -tol
+    decides.  This never rejects what the eigenvalue rule accepts, and
+    accepts what it rejects only when lambda_min(H) lies within rounding
+    (about n * eps * ||H||) of -tol.
+    """
     if tol < 0:
         raise DomainError("tolerance must be >= 0")
     if hermiticity_defect(j.matrix) > tol:
         return False
-    return min_eigenvalue_hermitian(j.matrix) >= -tol
+    return is_positive_semidefinite(j.matrix, tol)
 
 
 def is_trace_preserving(j: ChoiMatrix, tol: float = HERMITICITY_TOL) -> bool:

@@ -19,6 +19,7 @@ __all__ = [
     "trace_norm",
     "res",
     "min_eigenvalue_hermitian",
+    "is_positive_semidefinite",
     "hermiticity_defect",
     "is_hermitian",
 ]
@@ -79,13 +80,40 @@ def res(a) -> np.ndarray:
     return _as_complex(a).reshape(-1)
 
 
-def min_eigenvalue_hermitian(m) -> float:
-    """Smallest eigenvalue of the Hermitian part (m + m^dag)/2."""
+def _hermitian_part(m) -> np.ndarray:
+    """(m + m^dag)/2 as a new array."""
     m = _as_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    h = (m + m.conj().T) / 2
-    return float(np.linalg.eigvalsh(h)[0])
+    h = m + m.conj().T
+    h *= 0.5
+    return h
+
+
+def min_eigenvalue_hermitian(m) -> float:
+    """Smallest eigenvalue of the Hermitian part (m + m^dag)/2."""
+    return float(np.linalg.eigvalsh(_hermitian_part(m))[0])
+
+
+def is_positive_semidefinite(m, tol: float) -> bool:
+    """True if the Hermitian part H = (m + m^dag)/2 has min eigenvalue >= -tol.
+
+    A Cholesky factorisation of H + tol*I that succeeds with a finite
+    factor accepts at once; otherwise ``min_eigenvalue_hermitian(m) >= -tol``
+    decides.  So the answer is never False where the eigenvalue rule says
+    True, and differs from it only when lambda_min(H) + tol is within
+    rounding (about n * eps * ||H||) of zero.
+    """
+    h = _hermitian_part(m)
+    h.flat[:: h.shape[0] + 1] += tol
+    try:
+        # LAPACK reports success with NaN in the factor when entries span a
+        # huge range (1e-300 next to 1e200); a NaN or inf anywhere in it
+        # reaches its diagonal.
+        factored = bool(np.isfinite(np.linalg.cholesky(h).diagonal()).all())
+    except np.linalg.LinAlgError:
+        factored = False
+    return factored or min_eigenvalue_hermitian(m) >= -tol
 
 
 def hermiticity_defect(m) -> float:

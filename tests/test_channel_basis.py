@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from channelrep import (
     ChoiMatrix,
+    CoefficientVector,
     DimensionError,
     DomainError,
     KrausSet,
@@ -41,6 +43,7 @@ from fixtures import (
     get_basis,
     multiset_dev,
     rand_hermitian,
+    rand_unitary,
 )
 
 # Shapes for comparisons against the dense reference: (d, d), (d, d+1),
@@ -271,6 +274,52 @@ def test_combine_first_unit_vector():
     e0[0] = 1.0
     j = combine(b, e0)
     assert np.abs(j.matrix - np.eye(4) / 2).max() <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_represent_rejects_non_finite(bad):
+    m = np.asarray(HADAMARD_CHOI).copy()
+    m[0, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="non-finite Frobenius norm"):
+            represent(get_basis(2, 2), m)
+
+
+def test_represent_rejects_overflowing_norm():
+    # ||J||_F overflows to inf, which would make every tolerance inf.
+    outside = 1e200 * kron(np.eye(2), np.diag([1.0, -1.0]))  # wholly outside S
+    non_hermitian = np.zeros((4, 4), dtype=complex)
+    non_hermitian[0, 1] = 1e200
+    channel = ChoiMatrix(dx=2, dy=2, matrix=1e200 * HADAMARD_CHOI)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (outside, non_hermitian, channel):
+            with pytest.raises(ValidationError, match="non-finite Frobenius norm"):
+                represent(get_basis(2, 2), m)
+        with pytest.raises(ValidationError, match="non-finite Frobenius norm"):
+            order_unit_pairing(channel)
+
+
+def test_non_finite_coefficients_raise_validation_error():
+    values = np.zeros(13)
+    values[3] = np.nan
+    with pytest.raises(ValidationError):
+        combine(get_basis(2, 2), values)
+    with pytest.raises(ValidationError):
+        CoefficientVector(dx=2, dy=2, values=values)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pairing_of_rotated_scaled_channel(seed):
+    # A rotated full-rank channel times 1e8 has a Hermiticity defect of a
+    # few 1e-9 from rounding: above HERMITICITY_TOL, far below 1e-10 * s.
+    scale = 1e8
+    v = np.kron(rand_unitary(np.random.default_rng(seed), 4), np.eye(4))
+    m = scale * (v @ random_channel(4, 4, 16, seed=900 + seed).matrix @ v.conj().T)
+    j = ChoiMatrix(dx=4, dy=4, matrix=m)
+    assert represent(get_basis(4, 4), j).values[0] == pytest.approx(scale, rel=1e-12)
+    assert order_unit_pairing(j) == pytest.approx(scale, rel=1e-12)
 
 
 def test_combine_length_mismatch():

@@ -118,6 +118,27 @@ def test_schur_cp_flag_matches_eigenvalue():
     assert not is_completely_positive(j, tol=1e-10)
 
 
+def test_schur_non_psd_warning_text():
+    non_psd = np.array([[1.0, 1.5], [1.5, 1.0]])
+    with pytest.warns(NotCompletelyPositiveWarning) as record:
+        j = schur_channel(non_psd)
+    assert [str(w.message) for w in record] == [
+        "correlation matrix has min eigenvalue -5.000e-01; "
+        "the resulting map is not completely positive"
+    ]
+    assert not is_completely_positive(j, tol=1e-10)
+
+
+def test_schur_warning_threshold_is_cp_tol():
+    # eigenvalues 1 -+ c: the smallest is -1e-8 for c = 1 + 1e-8
+    almost = np.array([[1.0, 1.0 + 1e-8], [1.0 + 1e-8, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        schur_channel(almost, cp_tol=1e-7)
+    with pytest.warns(NotCompletelyPositiveWarning, match="min eigenvalue -1.000e-08"):
+        schur_channel(almost, cp_tol=1e-9)
+
+
 def test_schur_validation():
     with pytest.raises(ValidationError):
         schur_channel(np.diag([1.0, 2.0]))  # diagonal not 1

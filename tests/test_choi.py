@@ -5,21 +5,28 @@ from channelrep import (
     ChoiMatrix,
     DimensionError,
     KrausSet,
+    ValidationError,
     apply_channel,
     choi_from_kraus,
+    hermiticity_defect,
     is_completely_positive,
     is_hermiticity_preserving,
     is_trace_preserving,
     min_eigenvalue_hermitian,
+    random_channel,
+    unitary_channel,
 )
 from channelrep.channels import schur_channel
+from channelrep.linalg import is_positive_semidefinite
 
 from fixtures import (
     CORRELATION_2DP,
+    CORRELATION_FULL,
     HADAMARD,
     HADAMARD_CHOI,
     apply_kraus,
     choi_double_sum,
+    feasible_triples,
     rand_complex,
     rand_kraus_ops,
     rand_unitary,
@@ -176,3 +183,68 @@ def test_choi_matrix_rejects_non_finite():
     m[0, 0] = np.nan
     with pytest.raises(ValueError):
         ChoiMatrix(dx=2, dy=2, matrix=m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_non_finite_input_raises_validation_error(bad):
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = bad
+    with pytest.raises(ValidationError):
+        ChoiMatrix(dx=2, dy=2, matrix=m)
+    ops = np.eye(2, dtype=complex)
+    ops[0, 1] = bad
+    with pytest.raises(ValidationError):
+        KrausSet(dx=2, dy=2, operators=[ops])
+
+
+def _eigenvalue_rule(j, tol):
+    """The CP rule without the Cholesky shortcut."""
+    return hermiticity_defect(j.matrix) <= tol and min_eigenvalue_hermitian(j.matrix) >= -tol
+
+
+def _zero_pivot_channels():
+    """Singular Choi matrices with exactly zero diagonal entries: a Cholesky
+    factorisation without a shift meets an exact zero pivot and refuses."""
+    yield unitary_channel(np.eye(3))
+    yield unitary_channel(np.diag(np.exp(1j * np.array([0.3, 1.1]))))
+    yield schur_channel(CORRELATION_2DP)
+    yield schur_channel(CORRELATION_FULL)
+    yield schur_channel(np.ones((3, 3)))
+
+
+def _singular_channels():
+    """Unitary, Schur and minimal-Kraus-rank random channels."""
+    yield from _zero_pivot_channels()
+    rng = np.random.default_rng(321)
+    yield unitary_channel(HADAMARD)
+    yield unitary_channel(rand_unitary(rng, 4))
+    for i, (dx, dy) in enumerate([(2, 2), (3, 2), (2, 3), (4, 4), (8, 8), (8, 4), (4, 8)]):
+        yield random_channel(dx, dy, -(-dx // dy), seed=330 + i)
+
+
+def test_cp_accepts_singular_channels():
+    for j in _singular_channels():
+        assert is_completely_positive(j, tol=1e-10)
+
+
+def test_cp_at_zero_tolerance_is_the_eigenvalue_rule():
+    for j in _zero_pivot_channels():
+        assert is_completely_positive(j, tol=0.0) == _eigenvalue_rule(j, 0.0)
+        assert is_positive_semidefinite(j.matrix, 0.0) == (min_eigenvalue_hermitian(j.matrix) >= 0)
+    # Elsewhere both rules judge rounding noise at tol = 0 (lambda_min is
+    # 0 in exact arithmetic), so only the one-sided guarantee is portable.
+    for j in _singular_channels():
+        if _eigenvalue_rule(j, 0.0):
+            assert is_completely_positive(j, tol=0.0)
+
+
+def test_cp_verdict_equals_eigenvalue_rule_on_fixtures():
+    chans = list(_singular_channels())
+    chans += [random_channel(dx, dy, r, seed=340 + i) for i, (dx, dy, r) in enumerate(feasible_triples())]
+    chans.append(ChoiMatrix(dx=2, dy=2, matrix=HADAMARD_CHOI))
+    chans.append(ChoiMatrix(dx=2, dy=2, matrix=np.diag([1.0, -1.0, 1.0, 1.0])))
+    chans.append(ChoiMatrix(dx=2, dy=2, matrix=HADAMARD_CHOI - 1e-9 * np.eye(4)))
+    chans.append(ChoiMatrix(dx=2, dy=2, matrix=-HADAMARD_CHOI))
+    for j in chans:
+        for tol in (1e-10, 1e-6):
+            assert is_completely_positive(j, tol=tol) == _eigenvalue_rule(j, tol)

@@ -160,6 +160,18 @@ def test_represent_not_in_subspace_exit_3(tmp_path):
     assert main(["represent", str(inp), "--output", str(tmp_path / "v.json")]) == 3
 
 
+@pytest.mark.parametrize("command", ["represent", "roundtrip"])
+def test_overflowing_norm_exit_2(tmp_path, capsys, command):
+    # Entries of 1e200 are finite, but ||J||_F overflows: refused, not accepted.
+    inp = tmp_path / "huge.json"
+    save_matrix_file(inp, "choi", 2, 2, 1e200 * kron(np.eye(2), np.diag([1.0, -1.0])))
+    args = [command, str(inp)] + (["--output", str(tmp_path / "v.json")] if command == "represent" else [])
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert "non-finite Frobenius norm" in captured.err
+    assert not (tmp_path / "v.json").exists()
+
+
 def test_parse_failure_exit_2(tmp_path, capsys):
     inp = tmp_path / "garbage.json"
     inp.write_text("{broken")

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import channelrep.linalg
 from channelrep import DimensionError
 from channelrep.linalg import (
     hermiticity_defect,
     hs_inner,
     is_hermitian,
+    is_positive_semidefinite,
     kron,
     min_eigenvalue_hermitian,
     partial_trace_first,
@@ -13,7 +17,7 @@ from channelrep.linalg import (
     trace_norm,
 )
 
-from fixtures import HADAMARD, HADAMARD_CHOI, ptrace_first_loop, rand_complex
+from fixtures import HADAMARD, HADAMARD_CHOI, ptrace_first_loop, rand_complex, rand_unitary
 
 
 def test_hs_inner_identity():
@@ -191,3 +195,76 @@ def test_hermiticity_helpers():
     skew = np.array([[0, 1], [0, 0]], dtype=complex)
     assert not is_hermitian(skew)
     assert hermiticity_defect(skew) == pytest.approx(1.0)
+
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def _planted_hermitian(draw):
+    """(H, tol) with H = U diag(lam) U^dag, U random unitary, ||H|| ~ scale.
+
+    The first planted eigenvalue sits at -tol plus an offset in units of
+    n * eps * scale: a few units (inside the rounding window, either side)
+    or about 1e12 units (clearly PSD or clearly not).
+    """
+    n = draw(st.integers(1, 16))
+    scale = 10.0 ** draw(st.integers(0, 8))
+    tol = draw(st.sampled_from([0.0, 1e-10, 1e-6]))
+    units = draw(st.one_of(st.floats(-4, 4), st.floats(-1, 1).map(lambda x: 1e12 * x)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = rng.uniform(0, scale, n)
+    lam[0] = -tol + units * n * EPS * scale
+    u = rand_unitary(rng, n)
+    return (u * lam) @ u.conj().T, tol
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_planted_hermitian())
+def test_psd_test_follows_eigenvalue_rule(case):
+    h, tol = case
+    verdict = is_positive_semidefinite(h, tol)
+    lam_min = min_eigenvalue_hermitian(h)
+    if lam_min >= -tol:
+        assert verdict
+    if verdict != (lam_min >= -tol):
+        # Rounding window: a Cholesky factorisation that succeeds proves
+        # lambda_min(H) + tol >= -O(n * eps * ||H||); over 40k planted
+        # cases (n <= 36, scale <= 1e8) the largest |lambda_min + tol| on
+        # a disagreement was 0.2 * n * eps * ||H||_2.
+        assert abs(lam_min + tol) <= h.shape[0] * EPS * np.linalg.norm(h, 2)
+
+
+def test_psd_test_skips_eigenvalues_when_cholesky_succeeds(monkeypatch):
+    def forbidden(m):
+        raise AssertionError("eigenvalue fallback ran")
+
+    monkeypatch.setattr(channelrep.linalg, "min_eigenvalue_hermitian", forbidden)
+    assert is_positive_semidefinite(HADAMARD_CHOI, 1e-10)
+    assert is_positive_semidefinite(np.eye(5), 0.0)
+
+
+def test_psd_test_refusal_decided_by_eigenvalues():
+    singular = np.diag([1.0, 0.0, -1e-12])
+    assert not is_positive_semidefinite(singular, 0.0)
+    assert is_positive_semidefinite(singular, 1e-10)
+    assert not is_positive_semidefinite(np.diag([1.0, -0.5]), 0.1)
+    assert is_positive_semidefinite(np.diag([1.0, -0.5]), 0.5)
+
+
+def test_psd_test_ignores_a_non_finite_factor():
+    # Finite and far from PSD (lambda_min = -1.4e200), yet LAPACK's
+    # Cholesky factorisation can report success with NaN in its factor.
+    h = np.array([[1e-300, 1e200, 1e200j], [1e200, 1, 0], [-1e200j, 0, 1]])
+    assert not is_positive_semidefinite(h, 1e-10)
+
+
+def test_psd_test_uses_hermitian_part():
+    m = np.array([[1.0, 4.0], [0.0, 1.0]], dtype=complex)  # H = [[1, 2], [2, 1]]
+    assert not is_positive_semidefinite(m, 1e-10)
+    assert is_positive_semidefinite(m.T @ m, 1e-10)
+
+
+def test_psd_test_non_square():
+    with pytest.raises(DimensionError):
+        is_positive_semidefinite(np.zeros((2, 3)), 1e-10)
