@@ -42,8 +42,11 @@ Tolerances are relative to s = max(1, ||J||_F), so the verdicts of
 rejected as non-Hermitian when its max-abs defect exceeds
 HERMITICITY_TOL * s, and by ``represent`` as outside S when the trace norm
 of its projection onto the complement, ||Tr_Y J - (tr J/dx) I||_1, exceeds
-membership_tol * s.  A J whose norm is not finite (NaN or inf entries, or
-entries so large that ||J||_F overflows) is rejected before either check.
+membership_tol * s.  Since that residual R is dx x dx, the bound
+sqrt(dx) ||R||_F >= ||R||_1 accepts first; only when it does not is the
+trace norm computed, and it decides and is reported.  A J whose norm is not
+finite (NaN or inf entries, or entries so large that ||J||_F overflows) is
+rejected before either check.
 
 The first coefficient of any CP+TP Choi matrix equals sqrt(dx/dy), and the
 pairing <I/dx, J> (``order_unit_pairing``) equals 1 exactly on channels.
@@ -151,12 +154,12 @@ class ChannelBasis:
     def _tables(self) -> _Tables:
         """Index tables of ``represent``/``combine``, built on first use.
 
-        2*(dx*dy)^2 int32 positions, 8 bytes per Choi entry, plus
-        O(dx^2 + dy^2) weights.  int32 holds positions up to a side dx*dy
-        of 2^15, far beyond what the label tuple alone leaves room for.
+        2*(dx*dy)^2 intp positions, 16 bytes per Choi entry on 64-bit
+        platforms, plus O(dx^2 + dy^2) weights.  Native-width positions let
+        ``np.take`` and the fancy writes of ``_scatter`` use them uncast.
         """
         dx, dy, n = self.dx, self.dy, self.dx * self.dy
-        flat = np.arange(n * n, dtype=np.int32).reshape(n, n)
+        flat = np.arange(n * n, dtype=np.intp).reshape(n, n)
         block, pair = _float_positions(dx, dy, flat)
         block_mirror, pair_mirror = _float_positions(dx, dy, flat.T)
         on_diagonal = np.arange(dx * dx) < dx
@@ -302,10 +305,15 @@ def represent(
     defect = hermiticity_defect(m)
     if defect > HERMITICITY_TOL * scale:
         raise ValidationError(f"matrix is not Hermitian (max defect {defect:.3e})")
-    reduced = partial_trace_first(m, basis.dy, basis.dx)
-    resid_norm = trace_norm(reduced - np.trace(reduced) / basis.dx * np.eye(basis.dx))
-    if resid_norm > membership_tol * scale:
-        raise NotInSubspaceError(resid_norm)
+    resid = partial_trace_first(m, basis.dy, basis.dx)
+    resid.flat[:: basis.dx + 1] -= np.trace(resid) / basis.dx
+    # ||R||_1 <= sqrt(rank R) ||R||_F, so the Frobenius bound accepts
+    # without an eigen- or singular value decomposition.
+    tol = membership_tol * scale
+    if np.sqrt(basis.dx) * np.linalg.norm(resid) > tol:
+        resid_norm = trace_norm(resid)
+        if resid_norm > tol:
+            raise NotInSubspaceError(resid_norm)
     values = _gather(basis, m)
     return CoefficientVector(dx=basis.dx, dy=basis.dy, values=values)
 

@@ -22,8 +22,10 @@ import numpy as np
 from .errors import DimensionError, DomainError, ValidationError
 from .linalg import (
     HERMITICITY_TOL,
+    _hermitian_part,
+    _shifted_cholesky_succeeds,
     hermiticity_defect,
-    is_positive_semidefinite,
+    min_eigenvalue_hermitian,
     partial_trace_first,
     res,
 )
@@ -131,13 +133,20 @@ def is_completely_positive(j: ChoiMatrix, tol: float = HERMITICITY_TOL) -> bool:
     J is accepted; if it refuses, the eigenvalue rule lambda_min(H) >= -tol
     decides.  This never rejects what the eigenvalue rule accepts, and
     accepts what it rejects only when lambda_min(H) lies within rounding
-    (about n * eps * ||H||) of -tol.
+    (about n * eps * ||H||) of -tol.  J^dag is formed once; a J equal to it
+    bit for bit is its own Hermitian part and is factored directly.
     """
     if tol < 0:
         raise DomainError("tolerance must be >= 0")
-    if hermiticity_defect(j.matrix) > tol:
+    m = j.matrix
+    m_dag = m.conj().T
+    if (m == m_dag).all():
+        h = m.copy()  # J is its own Hermitian part
+    elif np.abs(m - m_dag).max() > tol:
         return False
-    return is_positive_semidefinite(j.matrix, tol)
+    else:
+        h = _hermitian_part(m, m_dag)
+    return _shifted_cholesky_succeeds(h, tol) or min_eigenvalue_hermitian(m) >= -tol
 
 
 def is_trace_preserving(j: ChoiMatrix, tol: float = HERMITICITY_TOL) -> bool:
@@ -145,7 +154,8 @@ def is_trace_preserving(j: ChoiMatrix, tol: float = HERMITICITY_TOL) -> bool:
     if tol < 0:
         raise DomainError("tolerance must be >= 0")
     reduced = partial_trace_first(j.matrix, j.dy, j.dx)
-    return bool(np.abs(reduced - np.eye(j.dx)).max() <= tol)
+    reduced.flat[:: j.dx + 1] -= 1
+    return bool(np.abs(reduced).max() <= tol)
 
 
 def is_hermiticity_preserving(j: ChoiMatrix, tol: float = HERMITICITY_TOL) -> bool:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .channel_basis import (
     MEMBERSHIP_TOL,
+    _scale,
     channel_basis,
     combine,
     represent,
@@ -123,6 +124,7 @@ def _cmd_combine(args) -> int:
 def _cmd_check(args) -> int:
     try:
         j = _load_choi(args.input)
+        _scale(j.matrix)  # refuses a non-finite Frobenius norm, as represent does
     except (FileFormatError, ChannelRepError) as exc:
         return _fail(str(exc), EXIT_INPUT_ERROR)
     cp = is_completely_positive(j, tol=args.tol)

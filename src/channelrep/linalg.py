@@ -64,10 +64,19 @@ def partial_trace_first(m, dim_first: int, dim_second: int) -> np.ndarray:
 
 
 def trace_norm(m) -> float:
-    """Trace norm (sum of singular values). Zero iff the matrix is zero."""
+    """Trace norm (sum of singular values). Zero iff the matrix is zero.
+
+    A square matrix that equals its conjugate transpose exactly has the
+    absolute values of its eigenvalues as singular values, so it is summed
+    from ``eigvalsh``; the two sums agree to rounding, about
+    n * eps * ||m||_2.  Anything else (a stack, a non-square or a
+    non-Hermitian matrix) is summed from its SVD.
+    """
     m = _as_complex(m)
     if m.size == 0:
         return 0.0
+    if m.ndim == 2 and m.shape[0] == m.shape[1] and (m == m.conj().T).all():
+        return float(np.abs(np.linalg.eigvalsh(m)).sum())
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
@@ -80,13 +89,23 @@ def res(a) -> np.ndarray:
     return _as_complex(a).reshape(-1)
 
 
-def _hermitian_part(m) -> np.ndarray:
-    """(m + m^dag)/2 as a new array."""
+def _square(m) -> np.ndarray:
     m = _as_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    h = m + m.conj().T
-    h *= 0.5
+    return m
+
+
+def _hermitian_part(m, m_dag=None) -> np.ndarray:
+    """(m + m^dag)/2 as a new array; ``m_dag`` is m^dag when the caller has it.
+
+    Formed as m/2 + m^dag/2, which cannot overflow where m + m^dag would
+    (finite entries above about 9e307), and equals (m + m^dag)/2 bit for bit
+    unless an entry is subnormal.
+    """
+    m = _square(m)
+    h = 0.5 * m
+    h += 0.5 * (m.conj().T if m_dag is None else m_dag)
     return h
 
 
@@ -104,24 +123,30 @@ def is_positive_semidefinite(m, tol: float) -> bool:
     True, and differs from it only when lambda_min(H) + tol is within
     rounding (about n * eps * ||H||) of zero.
     """
-    h = _hermitian_part(m)
+    return _shifted_cholesky_succeeds(_hermitian_part(m), tol) or (
+        min_eigenvalue_hermitian(m) >= -tol
+    )
+
+
+def _shifted_cholesky_succeeds(h: np.ndarray, tol: float) -> bool:
+    """True if h + tol*I, h Hermitian, has a Cholesky factor; h is overwritten."""
     h.flat[:: h.shape[0] + 1] += tol
     try:
         # LAPACK reports success with NaN in the factor when entries span a
         # huge range (1e-300 next to 1e200); a NaN or inf anywhere in it
         # reaches its diagonal.
-        factored = bool(np.isfinite(np.linalg.cholesky(h).diagonal()).all())
+        return bool(np.isfinite(np.linalg.cholesky(h).diagonal()).all())
     except np.linalg.LinAlgError:
-        factored = False
-    return factored or min_eigenvalue_hermitian(m) >= -tol
+        return False
 
 
 def hermiticity_defect(m) -> float:
-    """Max-abs entry of m - m^dag."""
-    m = _as_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+    """Max-abs entry of m - m^dag; exactly 0.0 when m equals m^dag."""
+    m = _square(m)
+    m_dag = m.conj().T
+    if (m == m_dag).all():
+        return 0.0
+    return float(np.abs(m - m_dag).max())
 
 
 def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:

@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 import warnings
 
@@ -42,6 +43,7 @@ from fixtures import (
     feasible_triples,
     get_basis,
     multiset_dev,
+    ptrace_first_loop,
     rand_hermitian,
     rand_unitary,
 )
@@ -453,3 +455,61 @@ def test_sperp_direction_rejected_at_any_scale(j, t, scale, seed):
         represent(get_basis(j.dx, j.dy), m)
     want = scale * t * j.dy * trace_norm(h)
     assert exc_info.value.residual_trace_norm == pytest.approx(want, rel=1e-9)
+
+
+# Residual shapes for the membership bound ||R||_1 <= sqrt(dx) ||R||_F.  On
+# a traceless +-1 diagonal with even dx the two sides are equal, so a bound
+# without its sqrt(dx) accepts residuals above the tolerance.
+PLANTED = [(2, 2, "flat"), (4, 2, "flat"), (4, 3, "flat"), (2, 3, "random"), (3, 3, "random"), (4, 2, "random")]
+
+
+def _planted(dx, dy, shape, scale):
+    """(m, ||R||_1, s) for a channel plus a residual of the given shape."""
+    rng = np.random.default_rng(480 + dx * dy)
+    if shape == "flat":
+        h = np.diag([1.0, -1.0] * (dx // 2))
+    else:
+        h = rand_hermitian(rng, dx)
+        h -= np.trace(h) / dx * np.eye(dx)
+    m = scale * (random_channel(dx, dy, dx * dy, seed=481).matrix + 1e-3 * kron(np.eye(dy), h))
+    resid = ptrace_first_loop(m, dy, dx)
+    resid -= np.trace(resid) / dx * np.eye(dx)
+    return m, np.linalg.svd(resid, compute_uv=False).sum(), max(1.0, np.linalg.norm(m))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+@pytest.mark.parametrize("t", [0.5, 0.99, 1.01, 2.0])
+@pytest.mark.parametrize("dx,dy,shape", PLANTED)
+def test_membership_verdict_at_planted_residual(dx, dy, shape, t, scale):
+    m, exact, s = _planted(dx, dy, shape, scale)
+    tol = exact / (t * s)  # the residual sits at t * tol * s
+    b = get_basis(dx, dy)
+    if t <= 1:
+        assert np.array_equal(represent(b, m, membership_tol=tol).values, _gather(b, m))
+    else:
+        with pytest.raises(NotInSubspaceError) as exc_info:
+            represent(b, m, membership_tol=tol)
+        assert exc_info.value.residual_trace_norm == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.5, 0.99])
+@pytest.mark.parametrize("dx,dy,shape", [p for p in PLANTED if p[2] == "flat"])
+def test_membership_bound_accepts_without_trace_norm(monkeypatch, dx, dy, shape, t):
+    def forbidden(m):
+        raise AssertionError("trace norm computed on an accepted input")
+
+    m, exact, s = _planted(dx, dy, shape, 1.0)
+    # The package exports the function channel_basis under the module's name.
+    module = importlib.import_module("channelrep.channel_basis")
+    monkeypatch.setattr(module, "trace_norm", forbidden)
+    represent(get_basis(dx, dy), m, membership_tol=exact / (t * s))
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_combine_output_is_exactly_hermitian(dx, dy, seed):
+    rng = np.random.default_rng(seed)
+    b = get_basis(dx, dy)
+    v = rng.standard_normal(len(b)) * 10.0 ** rng.uniform(-8, 8, len(b))
+    j = combine(b, v).matrix
+    assert np.array_equal(j, j.conj().T)

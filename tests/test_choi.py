@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import channelrep.choi
 from channelrep import (
     ChoiMatrix,
     DimensionError,
@@ -248,3 +251,39 @@ def test_cp_verdict_equals_eigenvalue_rule_on_fixtures():
     for j in chans:
         for tol in (1e-10, 1e-6):
             assert is_completely_positive(j, tol=tol) == _eigenvalue_rule(j, tol)
+
+
+def test_cp_on_exactly_hermitian_input_factors_j_itself(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("formed the Hermitian part of an exactly Hermitian J")
+
+    chans = [ChoiMatrix(j.dx, j.dy, (j.matrix + j.matrix.conj().T) / 2) for j in _singular_channels()]
+    monkeypatch.setattr(channelrep.choi, "_hermitian_part", forbidden)
+    for j in chans:
+        assert is_completely_positive(j, tol=1e-10)
+    assert not is_completely_positive(ChoiMatrix(dx=2, dy=2, matrix=-HADAMARD_CHOI))
+
+
+def test_cp_on_nearly_hermitian_input_is_the_eigenvalue_rule():
+    rng = np.random.default_rng(350)
+    for i, (dx, dy) in enumerate([(2, 2), (3, 2), (2, 3), (4, 4)]):
+        j = random_channel(dx, dy, dx * dy, seed=351 + i).matrix
+        skew = rand_complex(rng, j.shape)
+        skew -= skew.conj().T
+        for size in (1e-13, 1e-11, 1e-9):
+            m = ChoiMatrix(dx=dx, dy=dy, matrix=j + size * skew)
+            for shift in (0.0, -1e-8, -1e-3):
+                m = ChoiMatrix(dx=dx, dy=dy, matrix=m.matrix + shift * np.eye(dx * dy))
+                for tol in (1e-10, 1e-6):
+                    assert is_completely_positive(m, tol=tol) == _eigenvalue_rule(m, tol)
+
+
+def test_predicates_on_entries_near_the_largest_float():
+    # m + m^dag would overflow; the predicates still answer without a warning.
+    j = ChoiMatrix(dx=2, dy=2, matrix=1.5e308 * unitary_channel(np.eye(2)).matrix)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_completely_positive(j)
+        assert not is_trace_preserving(j)
+        assert is_hermiticity_preserving(j)
+        assert min_eigenvalue_hermitian(j.matrix) == pytest.approx(0.0, abs=1e-12 * 1.5e308)

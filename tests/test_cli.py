@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from channelrep import kron
+from channelrep import kron, unitary_channel
 from channelrep.cli import _build_parser, main
 from channelrep.fileio import load_matrix_file, load_vector_file, save_matrix_file, save_vector_file
 
@@ -170,6 +170,16 @@ def test_overflowing_norm_exit_2(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert "non-finite Frobenius norm" in captured.err
     assert not (tmp_path / "v.json").exists()
+
+
+def test_check_overflowing_norm_exit_2(tmp_path, capsys):
+    # Finite entries of 1.5e308: m + m^dag would overflow, and so does ||J||_F.
+    inp = tmp_path / "huge.json"
+    save_matrix_file(inp, "choi", 2, 2, 1.5e308 * unitary_channel(np.eye(2)).matrix)
+    assert main(["check", str(inp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: matrix has a non-finite Frobenius norm (inf)" in captured.err
 
 
 def test_parse_failure_exit_2(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,14 @@ from channelrep.linalg import (
     trace_norm,
 )
 
-from fixtures import HADAMARD, HADAMARD_CHOI, ptrace_first_loop, rand_complex, rand_unitary
+from fixtures import (
+    HADAMARD,
+    HADAMARD_CHOI,
+    ptrace_first_loop,
+    rand_complex,
+    rand_hermitian,
+    rand_unitary,
+)
 
 
 def test_hs_inner_identity():
@@ -146,6 +155,55 @@ def test_trace_norm_triangle_inequality():
         assert trace_norm(a + b) <= trace_norm(a) + trace_norm(b) + 1e-10
 
 
+@st.composite
+def _exact_hermitian(draw):
+    """(m + m^dag)/2 of a random complex m: equal to its conjugate transpose
+    bit for bit, with rank and scale drawn."""
+    n = draw(st.integers(1, 16))
+    scale = 10.0 ** draw(st.integers(-3, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rand_unitary(rng, n)
+    lam = scale * rng.uniform(-1, 1, n)
+    lam[: draw(st.integers(0, n))] = 0.0
+    m = (u * lam) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_exact_hermitian())
+def test_trace_norm_of_hermitian_matches_svd(m):
+    assert (m == m.conj().T).all()
+    want = np.linalg.svd(m, compute_uv=False).sum()
+    # Both sums carry the rounding of n values of a few eps * ||m||_2 each;
+    # over 40k such matrices (n <= 16) the largest gap was 3 n eps ||m||_2.
+    assert abs(trace_norm(m) - want) <= 8 * m.shape[0] * EPS * np.linalg.norm(m, 2)
+
+
+def test_trace_norm_of_hermitian_skips_svd(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("SVD ran on an exactly Hermitian matrix")
+
+    h = rand_hermitian(np.random.default_rng(18), 6)
+    want = trace_norm(h)
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    assert trace_norm(h) == want
+    assert trace_norm(np.diag([1.0, -2.0, 3.0])) == 6.0
+
+
+def test_trace_norm_not_exactly_hermitian_is_svd_sum():
+    rng = np.random.default_rng(19)
+    h = rand_hermitian(rng, 5)
+    h[1, 3] = np.nextafter(h[1, 3].real, np.inf) + 1j * h[1, 3].imag  # one ulp off
+    stack = np.stack([rand_hermitian(rng, 4) for _ in range(3)])
+    for m in (h, stack, rand_complex(rng, (3, 5))):
+        assert trace_norm(m) == float(np.linalg.svd(m, compute_uv=False).sum())
+
+
+def test_trace_norm_empty():
+    assert trace_norm(np.zeros((0, 0))) == 0.0
+    assert trace_norm(np.zeros((0, 3))) == 0.0
+
+
 def test_res_identity():
     assert np.array_equal(res(np.eye(2)), np.array([1, 0, 0, 1], dtype=complex))
 
@@ -195,6 +253,16 @@ def test_hermiticity_helpers():
     skew = np.array([[0, 1], [0, 0]], dtype=complex)
     assert not is_hermitian(skew)
     assert hermiticity_defect(skew) == pytest.approx(1.0)
+
+
+def test_hermiticity_defect_exact():
+    h = rand_hermitian(np.random.default_rng(20), 5)
+    assert hermiticity_defect(h) == 0.0
+    assert hermiticity_defect(np.zeros((0, 0))) == 0.0
+    off = h.copy()
+    off[0, 2] = np.nextafter(h[0, 2].real, np.inf) + 1j * h[0, 2].imag
+    assert hermiticity_defect(off) == np.nextafter(h[0, 2].real, np.inf) - h[0, 2].real
+    assert hermiticity_defect(np.array([[0.0, 1j], [1j, 0.0]])) == 2.0  # equal real parts
 
 
 EPS = np.finfo(float).eps
@@ -263,6 +331,24 @@ def test_psd_test_uses_hermitian_part():
     m = np.array([[1.0, 4.0], [0.0, 1.0]], dtype=complex)  # H = [[1, 2], [2, 1]]
     assert not is_positive_semidefinite(m, 1e-10)
     assert is_positive_semidefinite(m.T @ m, 1e-10)
+
+
+def test_hermitian_part_does_not_overflow():
+    # m + m^dag overflows to inf above about 9e307; m/2 + m^dag/2 does not.
+    m = 1e308 * np.array([[1.0, 0.5j], [-0.5j, 1.0]])  # eigenvalues 0.5e308, 1.5e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(channelrep.linalg._hermitian_part(m), m)
+        assert min_eigenvalue_hermitian(m) == pytest.approx(0.5e308, rel=1e-12)
+        assert is_positive_semidefinite(m, 1e-10)
+        assert not is_positive_semidefinite(-m, 1e-10)
+
+
+def test_hermitian_part_matches_sum_then_halve():
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        m = rand_complex(rng, (6, 6)) * 10.0 ** rng.uniform(-300, 300, (6, 6))
+        assert np.array_equal(channelrep.linalg._hermitian_part(m), (m + m.conj().T) / 2)
 
 
 def test_psd_test_non_square():
