@@ -9,6 +9,7 @@ or stdout.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 
@@ -225,4 +226,12 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
+    # Every module is imported by now.  Freezing moves the ~20k objects that
+    # importing numpy, argparse, json and channelrep leaves tracked into the
+    # permanent generation, which no collection visits: neither those during
+    # main() nor the full passes at interpreter shutdown, which took about
+    # 20 ms of a 150-200 ms call.  Shutdown is otherwise unchanged (stdio is
+    # flushed, atexit handlers run).  main() and the library leave the
+    # collector alone.
+    gc.freeze()
     sys.exit(main())

@@ -59,7 +59,9 @@ def _is_number(x) -> bool:
 
 
 def _encode_matrix(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+    """Nested lists of ``[re, im]`` pairs, read off a float view of ``m``."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(m.shape + (2,)).tolist()
 
 
 def _decode_matrix(rows, what: str) -> np.ndarray:
@@ -78,7 +80,10 @@ def _decode_matrix(rows, what: str) -> np.ndarray:
             re, im = entry
             if not _is_number(re) or not _is_number(im):
                 raise FileFormatError(f"{what}: entry components must be numbers")
-            decoded.append(complex(re, im))
+            try:
+                decoded.append(complex(re, im))
+            except OverflowError:  # an integer beyond float range, as non-finite as 1e400
+                raise FileFormatError(f"{what}: non-finite entries") from None
         out.append(decoded)
     m = np.array(out, dtype=complex)
     if not np.isfinite(m).all():
@@ -105,13 +110,23 @@ def _expected_shape(kind: str, dx: int, dy: int) -> tuple[int, int]:
     return (dx, dx)
 
 
-def load_matrix_file(path) -> MatrixFile:
-    """Parse and validate a matrix file."""
+def _read_json(path, what: str):
+    """Parse the JSON document in ``path``.
+
+    Any failure to read it is a ``FileFormatError``: a missing file, bytes that
+    are not UTF-8 and malformed JSON (``ValueError``), or arrays nested too deep
+    for the decoder (``RecursionError``).
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"cannot read matrix file {path}: {exc}") from exc
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise FileFormatError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def load_matrix_file(path) -> MatrixFile:
+    """Parse and validate a matrix file."""
+    doc = _read_json(path, "matrix")
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be an object")
     kind = doc.get("kind")
@@ -139,30 +154,30 @@ def load_matrix_file(path) -> MatrixFile:
 
 
 def _write_json(path, doc) -> None:
-    """Write ``doc`` as one line of JSON."""
+    """Write ``doc`` as one line of JSON.
+
+    ``json.dumps`` encodes the whole document with the C encoder; ``json.dump``
+    streams through the pure-Python one and takes about twice as long on an
+    8x8 Choi file.  The text is written in one call once it is complete, so a
+    document that fails to encode leaves the file untouched.
+    """
+    text = json.dumps(doc) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(text)
 
 
 def save_matrix_file(path, kind: str, dx: int, dy: int, data) -> None:
     """Write a matrix file with canonical field order and full precision."""
     if kind not in MATRIX_KINDS:
         raise FileFormatError(f"kind must be one of {MATRIX_KINDS}, got {kind!r}")
-    if kind == "kraus":
-        payload = [_encode_matrix(m) for m in data]
-    else:
-        payload = _encode_matrix(data)
+    # a Kraus stack (m, rows, cols) encodes as a list of m matrices
+    payload = _encode_matrix(data)
     _write_json(path, {"kind": kind, "dx": int(dx), "dy": int(dy), "data": payload})
 
 
 def load_vector_file(path) -> VectorFile:
     """Parse and validate a coefficient-vector file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"cannot read vector file {path}: {exc}") from exc
+    doc = _read_json(path, "vector")
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be an object")
     dx, dy = _require_dims(doc, str(path))
@@ -174,7 +189,10 @@ def load_vector_file(path) -> VectorFile:
         raise FileFormatError(
             f"{path}: expected {expected} values for dims ({dx}, {dy}), got {len(values)}"
         )
-    arr = np.array(values, dtype=float)
+    try:
+        arr = np.array(values, dtype=float)
+    except OverflowError:  # an integer beyond float range, as non-finite as 1e400
+        raise FileFormatError(f"{path}: non-finite values") from None
     if not np.isfinite(arr).all():
         raise FileFormatError(f"{path}: non-finite values")
     return VectorFile(dx=dx, dy=dy, values=arr)
@@ -185,7 +203,7 @@ def save_vector_file(path, dx: int, dy: int, values) -> None:
     doc = {
         "dx": int(dx),
         "dy": int(dy),
-        "values": [float(v) for v in np.asarray(values, dtype=float)],
+        "values": np.asarray(values, dtype=float).tolist(),
     }
     _write_json(path, doc)
 

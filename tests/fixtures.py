@@ -67,6 +67,17 @@ SCHUR_COEFF_MULTISET = np.array(
     + [0.0] * 61
 )
 
+# File contents the loaders must refuse with FileFormatError (CLI exit 2):
+# an integer beyond float range, bytes that are not UTF-8, and arrays nested
+# deeper than the JSON decoder recurses.
+_HUGE = b"1" + b"0" * 400
+MALFORMED_FILES = {
+    "huge matrix entry": b'{"kind": "choi", "dx": 1, "dy": 1, "data": [[[%s, 0]]]}' % _HUGE,
+    "huge vector value": b'{"dx": 1, "dy": 1, "values": [%s]}' % _HUGE,
+    "not utf-8": b"\xff\xfe{}",
+    "deep nesting": b"[" * 100000 + b"]" * 100000,
+}
+
 
 def schur_choi_loop(a: np.ndarray) -> np.ndarray:
     """Expected Choi matrix of y -> a .* y, built entry by entry."""

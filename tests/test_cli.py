@@ -1,10 +1,14 @@
+import gc
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import channelrep
 from channelrep import kron, unitary_channel
 from channelrep.cli import _build_parser, main
 from channelrep.fileio import load_matrix_file, load_vector_file, save_matrix_file, save_vector_file
@@ -14,6 +18,7 @@ from fixtures import (
     HADAMARD,
     HADAMARD_CHOI,
     HADAMARD_COEFF_MULTISET,
+    MALFORMED_FILES,
     multiset_dev,
 )
 
@@ -286,12 +291,119 @@ def test_tolerance_flags_accept_zero():
     assert args.membership_tol == 0.0
 
 
+def _console_env():
+    """The environment of this process, with this channelrep importable first."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(channelrep.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_invocation(tmp_path):
     inp = _hadamard_file(tmp_path)
     proc = subprocess.run(
         [sys.executable, "-m", "channelrep", "roundtrip", str(inp)],
         capture_output=True,
         text=True,
+        env=_console_env(),
     )
     assert proc.returncode == 0
     assert float(proc.stdout.strip()) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "command,case",
+    [
+        ("represent", "huge matrix entry"),
+        ("check", "huge matrix entry"),
+        ("combine", "huge vector value"),
+        ("represent", "not utf-8"),
+        ("combine", "not utf-8"),
+        ("check", "deep nesting"),
+    ],
+)
+def test_malformed_file_exit_2(tmp_path, capsys, command, case):
+    inp, out = tmp_path / "bad.json", tmp_path / "out.json"
+    inp.write_bytes(MALFORMED_FILES[case])
+    argv = [command, str(inp)] + ([] if command == "check" else ["--output", str(out)])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def _parity_case(tmp_path, case):
+    """(argv, output file or None) of one console-parity case."""
+    out = tmp_path / "out.json"
+    had = str(_hadamard_file(tmp_path))
+    if case == "represent":
+        return ["represent", had, "--output", str(out)], out
+    if case == "combine":
+        vec = tmp_path / "v.json"
+        save_vector_file(vec, 2, 2, np.linspace(-1.0, 1.0, 13))
+        return ["combine", str(vec), "--output", str(out)], out
+    if case in ("check", "roundtrip"):
+        return [case, had], None
+    if case == "basis":
+        return ["basis", "--dx", "2", "--dy", "2", "--output", str(out)], out
+    if case == "random":
+        return ["random", "--dx", "2", "--dy", "3", "--rank", "2", "--seed", "7",
+                "--output", str(out)], out
+    inp = tmp_path / "in.json"
+    if case == "exit 1":
+        save_matrix_file(inp, "choi", 2, 2, np.diag([1.0, -1.0, 1.0, 1.0]))
+        return ["check", str(inp)], None
+    if case == "exit 2":
+        inp.write_text("{broken")
+        return ["represent", str(inp), "--output", str(out)], out
+    save_matrix_file(inp, "choi", 2, 2, kron(np.eye(2), np.diag([1.0, -1.0])))
+    return ["represent", str(inp), "--output", str(out)], out
+
+
+def _output_bytes(out):
+    return out.read_bytes() if out is not None and out.exists() else None
+
+
+@pytest.mark.parametrize(
+    "case,code",
+    [("represent", 0), ("combine", 0), ("check", 0), ("roundtrip", 0), ("basis", 0),
+     ("random", 0), ("exit 1", 1), ("exit 2", 2), ("exit 3", 3)],
+)
+def test_console_matches_main(tmp_path, capsys, case, code):
+    # ``python -m channelrep`` goes through entry_point; it must behave as main().
+    argv, out = _parity_case(tmp_path, case)
+    proc = subprocess.run([sys.executable, "-m", "channelrep", *argv], capture_output=True,
+                          text=True, env=_console_env(), cwd=tmp_path)
+    console_file = _output_bytes(out)
+    if console_file is not None:
+        out.unlink()
+    assert main(argv) == proc.returncode == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (proc.stdout, proc.stderr)
+    assert _output_bytes(out) == console_file
+
+
+def test_only_entry_point_freezes_the_heap(tmp_path, capsys):
+    before = gc.get_freeze_count()
+    assert main(["check", str(_hadamard_file(tmp_path))]) == 0
+    assert gc.get_freeze_count() == before
+    capsys.readouterr()
+    # In a fresh interpreter importing the package freezes nothing; the
+    # console entry point does, and atexit handlers still run after main().
+    script = (
+        "import atexit, gc, sys\n"
+        "before = gc.get_freeze_count()\n"
+        "import channelrep, channelrep.cli\n"
+        "print('import froze', gc.get_freeze_count() != before)\n"
+        "atexit.register(lambda: print('entry point froze', gc.get_freeze_count() > 0))\n"
+        "sys.argv = ['channelrep', 'check', sys.argv[1]]\n"
+        "channelrep.cli.entry_point()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "had.json")],
+                          capture_output=True, text=True, env=_console_env())
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "import froze False"
+    assert lines[1] == "cp true"
+    assert lines[-1] == "entry point froze True"

@@ -12,7 +12,7 @@ from channelrep.fileio import (
     save_vector_file,
 )
 
-from fixtures import CORRELATION_2DP, HADAMARD, rand_complex
+from fixtures import CORRELATION_2DP, HADAMARD, MALFORMED_FILES, rand_complex
 
 
 def test_choi_matrix_round_trip(tmp_path):
@@ -172,3 +172,68 @@ def test_booleans_are_not_numbers(tmp_path, loader, doc):
     path.write_text(json.dumps(doc))
     with pytest.raises(FileFormatError):
         loader(path)
+
+
+@pytest.mark.parametrize(
+    "loader,case",
+    [
+        (load_matrix_file, "huge matrix entry"),
+        (load_matrix_file, "not utf-8"),
+        (load_matrix_file, "deep nesting"),
+        (load_vector_file, "huge vector value"),
+        (load_vector_file, "not utf-8"),
+        (load_vector_file, "deep nesting"),
+    ],
+)
+def test_malformed_input_is_file_format_error(tmp_path, loader, case):
+    path = tmp_path / "bad.json"
+    path.write_bytes(MALFORMED_FILES[case])
+    with pytest.raises(FileFormatError):
+        loader(path)
+
+
+# The exact bytes of small files, pinned so that the encoder stays canonical:
+# shortest round-trip floats, signed zeros, subnormals and huge values, and
+# the same text for F-ordered, real-dtype and stacked input.
+@pytest.mark.parametrize(
+    "save,args,expected",
+    [
+        pytest.param(
+            save_matrix_file,
+            ("unitary", 2, 2, np.asfortranarray([[1.0, -0.0], [5e-324, 1e300]])),
+            '{"kind": "unitary", "dx": 2, "dy": 2, "data": '
+            '[[[1.0, 0.0], [-0.0, 0.0]], [[5e-324, 0.0], [1e+300, 0.0]]]}\n',
+            id="unitary-real-F-order",
+        ),
+        pytest.param(
+            save_matrix_file,
+            ("choi", 1, 2, np.asfortranarray([[0.5 + 0.25j, -0.0 - 1j], [1j, 0.5]])),
+            '{"kind": "choi", "dx": 1, "dy": 2, "data": '
+            '[[[0.5, 0.25], [-0.0, -1.0]], [[0.0, 1.0], [0.5, 0.0]]]}\n',
+            id="choi-complex-F-order",
+        ),
+        pytest.param(
+            save_matrix_file,
+            ("kraus", 1, 2, np.array([[[1.0 + 0j], [0.0]], [[-0.0], [1e300 - 5e-324j]]])),
+            '{"kind": "kraus", "dx": 1, "dy": 2, "data": '
+            '[[[[1.0, 0.0]], [[0.0, 0.0]]], [[[-0.0, 0.0]], [[1e+300, -5e-324]]]]}\n',
+            id="kraus-stack",
+        ),
+        pytest.param(
+            save_vector_file,
+            (1, 2, [-0.0, 5e-324, 1e300, 0.1]),
+            '{"dx": 1, "dy": 2, "values": [-0.0, 5e-324, 1e+300, 0.1]}\n',
+            id="vector-special-floats",
+        ),
+        pytest.param(
+            save_vector_file,
+            (1, 2, np.arange(4)),
+            '{"dx": 1, "dy": 2, "values": [0.0, 1.0, 2.0, 3.0]}\n',
+            id="vector-integers",
+        ),
+    ],
+)
+def test_writers_golden_bytes(tmp_path, save, args, expected):
+    path = tmp_path / "out.json"
+    save(path, *args)
+    assert path.read_bytes() == expected.encode("ascii")
