@@ -12,8 +12,10 @@ from .channel_basis import (
     MEMBERSHIP_TOL,
     ChannelBasis,
     CoefficientVector,
+    HermitianBasis,
     channel_basis,
     combine,
+    hermitian_basis,
     order_unit_pairing,
     represent,
     sperp_basis,
@@ -43,7 +45,6 @@ from .errors import (
     NotInSubspaceError,
     ValidationError,
 )
-from .hermitian_basis import HermitianBasis, hermitian_basis
 from .linalg import (
     HERMITICITY_TOL,
     hermiticity_defect,

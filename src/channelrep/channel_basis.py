@@ -15,13 +15,16 @@ The canonical basis built by ``channel_basis`` consists of, in order:
 
 * index 0: the scaled identity ``I/sqrt(dx*dy)``;
 * for each traceless diagonal profile over the output factor (k = 1..dy-1,
-  same diagonal family as ``hermitian_basis``), its Kronecker product with
+  the rows of the Helmert matrix ``helmert(dy)``), its Kronecker product with
   each element of the projector/sym/antisym basis of the input factor
   (projectors |x><x| first, then input index pairs a < b, symmetric before
   antisymmetric);
 * for each pair of output indices y1 < y2 and each input index pair (x1, x2),
   the symmetric and antisymmetric matrix-pair elements supported on the
   positions (y1*dx + x1, y2*dx + x2).
+
+For dx = 1 this is the canonical orthonormal basis of dy x dy Hermitian
+matrices, which ``hermitian_basis`` and ``sperp_basis`` take from here.
 
 All entries are exact (combinatorial values and 1/sqrt(2) factors), each
 element is Hermitian, traceless apart from index 0, orthogonal to all of
@@ -62,14 +65,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .choi import ChoiMatrix, check_dims
-from .errors import DimensionError, NotInSubspaceError, ValidationError
-from .hermitian_basis import INV_SQRT2, SQRT2, helmert, hermitian_basis
+from .errors import DimensionError, DomainError, NotInSubspaceError, ValidationError
 from .linalg import HERMITICITY_TOL, hermiticity_defect, kron, partial_trace_first, trace_norm
 
 __all__ = [
     "MEMBERSHIP_TOL",
     "ChannelBasis",
     "CoefficientVector",
+    "HermitianBasis",
+    "hermitian_basis",
     "subspace_dimension",
     "sperp_basis",
     "channel_basis",
@@ -82,13 +86,28 @@ __all__ = [
 # non-membership in S (order-1 residuals) from floating-point dust.
 MEMBERSHIP_TOL = 1e-8
 
-Label = tuple
+SQRT2 = np.sqrt(2)
+# Multiplying by this rounded constant, never dividing by SQRT2, keeps the
+# built elements entry-for-entry equal to the literal 1/sqrt(2) values.
+INV_SQRT2 = 1.0 / SQRT2
 
 
 def subspace_dimension(dx: int, dy: int) -> int:
     """Dimension of S: dx^2 dy^2 - dx^2 + 1."""
     check_dims(dx, dy)
     return dx * dx * dy * dy - dx * dx + 1
+
+
+def helmert(d: int) -> np.ndarray:
+    """Real orthogonal d x d Helmert matrix: row 0 is 1/sqrt(d), row k >= 1 is
+    the traceless profile (1,..,1,-k,0,..,0)/sqrt(k + k^2) with k leading ones."""
+    h = np.zeros((d, d))
+    h[0] = 1.0 / np.sqrt(d)
+    for k in range(1, d):
+        h[k, :k] = 1.0
+        h[k, k] = -k
+        h[k] /= np.sqrt(k + k * k)
+    return h
 
 
 class _Tables(NamedTuple):
@@ -126,18 +145,31 @@ def _float_positions(dx: int, dy: int, flat: np.ndarray) -> tuple[np.ndarray, np
 class ChannelBasis:
     """Ordered orthonormal basis of S for fixed (dx, dy).
 
-    ``labels`` is the tuple of structural labels, one per element, in
-    coefficient order.  Immutable and safe to share across threads;
-    ``represent``/``combine`` are pure and may run concurrently over the
-    same basis.
+    The basis is determined by (dx, dy) alone, so that is all it holds; its
+    ``labels``, dense ``elements`` and the index tables of
+    ``represent``/``combine`` are derived on first use and then kept.
+    Immutable and safe to share across threads; ``represent``/``combine``
+    are pure and may run concurrently over the same basis.
     """
 
     dx: int
     dy: int
-    labels: tuple[Label, ...]
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return subspace_dimension(self.dx, self.dy)
+
+    @cached_property
+    def labels(self) -> tuple[tuple, ...]:
+        """Structural labels, one per element, in coefficient order."""
+        dx, dy = self.dx, self.dy
+        labels: list[tuple] = [("identity",)]
+        for k in range(1, dy):
+            labels += [("diag_proj", k, x) for x in range(dx)]
+            for a, b in combinations(range(dx), 2):
+                labels += [("diag_sym", k, a, b), ("diag_antisym", k, a, b)]
+        for (y1, y2), (x1, x2) in product(combinations(range(dy), 2), product(range(dx), repeat=2)):
+            labels += [("pair_sym", y1, x1, y2, x2), ("pair_antisym", y1, x1, y2, x2)]
+        return tuple(labels)
 
     @cached_property
     def elements(self) -> np.ndarray:
@@ -202,31 +234,51 @@ class CoefficientVector:
         return self.values.shape[0]
 
 
+@dataclass(frozen=True)
+class HermitianBasis:
+    """Ordered orthonormal basis of Herm(C^dim): a read-only (dim^2, dim, dim)
+    ``elements`` stack and the parallel tuple of structural ``labels``."""
+
+    dim: int
+    elements: np.ndarray
+    labels: tuple[tuple, ...]
+
+    def __len__(self) -> int:
+        return self.elements.shape[0]
+
+
+def hermitian_basis(d: int) -> HermitianBasis:
+    """The canonical orthonormal Hermitian basis for dimension ``d``.
+
+    Its elements are those of ``channel_basis(1, d)``, in the same order;
+    for d = 1 the basis degenerates to the single matrix [[1]].
+    """
+    if d < 1:
+        raise DomainError(f"dimension must be >= 1, got {d}")
+    labels: list[tuple] = [("identity",)] + [("diagonal", k) for k in range(1, d)]
+    for a, b in combinations(range(d), 2):
+        labels += [("sym", a, b), ("antisym", a, b)]
+    return HermitianBasis(dim=d, elements=channel_basis(1, d).elements, labels=tuple(labels))
+
+
 def sperp_basis(dx: int, dy: int) -> np.ndarray:
     """Orthonormal basis of the complement of S: (I_Y/sqrt(dy)) (x) H.
 
-    ``H`` runs over the traceless elements of ``hermitian_basis(dx)``; the
-    result is a stack of exactly dx^2 - 1 Hermitian matrices (empty for
+    ``H`` runs over the traceless elements of the dx x dx Hermitian basis;
+    the result is a stack of exactly dx^2 - 1 Hermitian matrices (empty for
     dx = 1).  Tracing the output factor of any element yields a traceless
     matrix, never a multiple of the identity.
     """
     check_dims(dx, dy)
-    stack = kron(np.eye(dy) / np.sqrt(dy), hermitian_basis(dx).elements[1:])
+    stack = kron(np.eye(dy) / np.sqrt(dy), channel_basis(1, dx).elements[1:])
     stack.setflags(write=False)
     return stack
 
 
 def channel_basis(dx: int, dy: int) -> ChannelBasis:
-    """Construct the canonical orthonormal basis of S for dims (dx, dy)."""
+    """The canonical orthonormal basis of S for dims (dx, dy)."""
     check_dims(dx, dy)
-    labels: list[Label] = [("identity",)]
-    for k in range(1, dy):
-        labels += [("diag_proj", k, x) for x in range(dx)]
-        for a, b in combinations(range(dx), 2):
-            labels += [("diag_sym", k, a, b), ("diag_antisym", k, a, b)]
-    for (y1, y2), (x1, x2) in product(combinations(range(dy), 2), product(range(dx), repeat=2)):
-        labels += [("pair_sym", y1, x1, y2, x2), ("pair_antisym", y1, x1, y2, x2)]
-    return ChannelBasis(dx=dx, dy=dy, labels=tuple(labels))
+    return ChannelBasis(dx=dx, dy=dy)
 
 
 def _gather(basis: ChannelBasis, m: np.ndarray) -> np.ndarray:
@@ -259,13 +311,16 @@ def _scatter(basis: ChannelBasis, values: np.ndarray) -> np.ndarray:
     return f.view(complex).reshape(batch + (n, n))
 
 
+def _check_basis_dims(basis: ChannelBasis, what: str, dx: int, dy: int) -> None:
+    if (dx, dy) != (basis.dx, basis.dy):
+        raise DimensionError(
+            f"{what} dims ({dx}, {dy}) do not match basis dims ({basis.dx}, {basis.dy})"
+        )
+
+
 def _coerce_choi(basis: ChannelBasis, j) -> np.ndarray:
     if isinstance(j, ChoiMatrix):
-        if (j.dx, j.dy) != (basis.dx, basis.dy):
-            raise DimensionError(
-                f"Choi dims ({j.dx}, {j.dy}) do not match basis dims "
-                f"({basis.dx}, {basis.dy})"
-            )
+        _check_basis_dims(basis, "Choi", j.dx, j.dy)
         return j.matrix
     m = np.asarray(j, dtype=complex)
     n = basis.dx * basis.dy
@@ -288,6 +343,15 @@ def _scale(m: np.ndarray) -> float:
     return max(1.0, norm)
 
 
+def _hermitian_scale(m: np.ndarray) -> float:
+    """``_scale(m)``; m is rejected as non-Hermitian above HERMITICITY_TOL times it."""
+    scale = _scale(m)
+    defect = hermiticity_defect(m)
+    if defect > HERMITICITY_TOL * scale:
+        raise ValidationError(f"matrix is not Hermitian (max defect {defect:.3e})")
+    return scale
+
+
 def represent(
     basis: ChannelBasis,
     j,
@@ -301,10 +365,7 @@ def represent(
     residual trace norm of an input outside S.
     """
     m = _coerce_choi(basis, j)
-    scale = _scale(m)
-    defect = hermiticity_defect(m)
-    if defect > HERMITICITY_TOL * scale:
-        raise ValidationError(f"matrix is not Hermitian (max defect {defect:.3e})")
+    scale = _hermitian_scale(m)
     resid = partial_trace_first(m, basis.dy, basis.dx)
     resid.flat[:: basis.dx + 1] -= np.trace(resid) / basis.dx
     # ||R||_1 <= sqrt(rank R) ||R||_F, so the Frobenius bound accepts
@@ -326,11 +387,7 @@ def combine(basis: ChannelBasis, v) -> ChoiMatrix:
     element stack is never built.
     """
     if isinstance(v, CoefficientVector):
-        if (v.dx, v.dy) != (basis.dx, basis.dy):
-            raise DimensionError(
-                f"vector dims ({v.dx}, {v.dy}) do not match basis dims "
-                f"({basis.dx}, {basis.dy})"
-            )
+        _check_basis_dims(basis, "vector", v.dx, v.dy)
         values = v.values
     else:
         values = np.asarray(v, dtype=float)
@@ -350,7 +407,5 @@ def order_unit_pairing(j: ChoiMatrix) -> float:
     the positive cone in S.  J is rejected as non-Hermitian under the same
     scale-relative tolerance as in ``represent``.
     """
-    defect = hermiticity_defect(j.matrix)
-    if defect > HERMITICITY_TOL * _scale(j.matrix):
-        raise ValidationError(f"matrix is not Hermitian (max defect {defect:.3e})")
+    _hermitian_scale(j.matrix)
     return float(np.trace(j.matrix).real) / j.dx

@@ -12,6 +12,7 @@ import argparse
 import gc
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -76,8 +77,14 @@ def _save(save, path, *args) -> int:
 
 
 def _load_choi(path):
-    mf = load_matrix_file(path)
-    return matrix_file_to_choi(mf)
+    """Load ``path`` as a Choi matrix; a warning raised on the way (a
+    correlation matrix that is not PSD) is printed as one ``warning:`` line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        j = matrix_file_to_choi(load_matrix_file(path))
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return j
 
 
 def _load_and_represent(args):

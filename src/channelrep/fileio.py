@@ -101,13 +101,29 @@ def _require_dims(doc: dict, what: str) -> tuple[int, int]:
     return dx, dy
 
 
-def _expected_shape(kind: str, dx: int, dy: int) -> tuple[int, int]:
+def _declared_shape(where: str, kind: str, dx: int, dy: int) -> tuple[int, int]:
+    """Shape of each matrix of a ``kind`` file for (dx, dy)."""
     if kind == "choi":
         return (dy * dx, dy * dx)
     if kind == "kraus":
         return (dy, dx)
     # unitary and correlation matrices are square on a single space
+    if dx != dy:
+        raise FileFormatError(f"{where}: kind {kind!r} requires dx == dy")
     return (dx, dx)
+
+
+def _check_shape(where: str, what: str, shape: tuple, declared: tuple) -> None:
+    if shape != declared:
+        raise FileFormatError(f"{where}: {what} shape {shape} != declared {declared}")
+
+
+def _check_length(where: str, dx: int, dy: int, count: int) -> None:
+    expected = subspace_dimension(dx, dy)
+    if count != expected:
+        raise FileFormatError(
+            f"{where}: expected {expected} values for dims ({dx}, {dy}), got {count}"
+        )
 
 
 def _read_json(path, what: str):
@@ -133,23 +149,17 @@ def load_matrix_file(path) -> MatrixFile:
     if kind not in MATRIX_KINDS:
         raise FileFormatError(f"{path}: kind must be one of {MATRIX_KINDS}, got {kind!r}")
     dx, dy = _require_dims(doc, str(path))
-    if kind in ("unitary", "correlation") and dx != dy:
-        raise FileFormatError(f"{path}: kind {kind!r} requires dx == dy")
+    shape = _declared_shape(str(path), kind, dx, dy)
     data = doc.get("data")
-    shape = _expected_shape(kind, dx, dy)
     if kind == "kraus":
         if not isinstance(data, list) or not data:
             raise FileFormatError(f"{path}: kraus data must be a nonempty list of matrices")
         mats = [_decode_matrix(m, str(path)) for m in data]
         for m in mats:
-            if m.shape != shape:
-                raise FileFormatError(
-                    f"{path}: kraus operator shape {m.shape} != declared {shape}"
-                )
+            _check_shape(str(path), "kraus operator", m.shape, shape)
         return MatrixFile(kind=kind, dx=dx, dy=dy, data=np.stack(mats))
     m = _decode_matrix(data, str(path))
-    if m.shape != shape:
-        raise FileFormatError(f"{path}: matrix shape {m.shape} != declared {shape}")
+    _check_shape(str(path), "matrix", m.shape, shape)
     return MatrixFile(kind=kind, dx=dx, dy=dy, data=m)
 
 
@@ -167,12 +177,21 @@ def _write_json(path, doc) -> None:
 
 
 def save_matrix_file(path, kind: str, dx: int, dy: int, data) -> None:
-    """Write a matrix file with canonical field order and full precision."""
+    """Write a matrix file with canonical field order and full precision;
+    data that ``load_matrix_file`` would refuse raises ``FileFormatError``."""
     if kind not in MATRIX_KINDS:
         raise FileFormatError(f"kind must be one of {MATRIX_KINDS}, got {kind!r}")
-    # a Kraus stack (m, rows, cols) encodes as a list of m matrices
-    payload = _encode_matrix(data)
-    _write_json(path, {"kind": kind, "dx": int(dx), "dy": int(dy), "data": payload})
+    where = f"cannot write {path}"
+    dx, dy = _require_dims({"dx": int(dx), "dy": int(dy)}, where)
+    shape = _declared_shape(where, kind, dx, dy)
+    m = np.asarray(data)
+    if kind != "kraus":
+        _check_shape(where, "matrix", m.shape, shape)
+    elif m.ndim != 3 or not len(m):
+        raise FileFormatError(f"{where}: kraus data must be a nonempty list of matrices")
+    else:  # a Kraus stack (m, rows, cols) encodes as a list of m matrices
+        _check_shape(where, "kraus operator", m.shape[1:], shape)
+    _write_json(path, {"kind": kind, "dx": dx, "dy": dy, "data": _encode_matrix(m)})
 
 
 def load_vector_file(path) -> VectorFile:
@@ -184,11 +203,7 @@ def load_vector_file(path) -> VectorFile:
     values = doc.get("values")
     if not isinstance(values, list) or not all(_is_number(v) for v in values):
         raise FileFormatError(f"{path}: values must be a list of numbers")
-    expected = subspace_dimension(dx, dy)
-    if len(values) != expected:
-        raise FileFormatError(
-            f"{path}: expected {expected} values for dims ({dx}, {dy}), got {len(values)}"
-        )
+    _check_length(str(path), dx, dy, len(values))
     try:
         arr = np.array(values, dtype=float)
     except OverflowError:  # an integer beyond float range, as non-finite as 1e400
@@ -199,13 +214,15 @@ def load_vector_file(path) -> VectorFile:
 
 
 def save_vector_file(path, dx: int, dy: int, values) -> None:
-    """Write a coefficient-vector file with full precision."""
-    doc = {
-        "dx": int(dx),
-        "dy": int(dy),
-        "values": np.asarray(values, dtype=float).tolist(),
-    }
-    _write_json(path, doc)
+    """Write a coefficient-vector file with full precision; values that
+    ``load_vector_file`` would refuse raise ``FileFormatError``."""
+    where = f"cannot write {path}"
+    dx, dy = _require_dims({"dx": int(dx), "dy": int(dy)}, where)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise FileFormatError(f"{where}: values must be a list of numbers")
+    _check_length(where, dx, dy, len(values))
+    _write_json(path, {"dx": dx, "dy": dy, "values": values.tolist()})
 
 
 def matrix_file_to_choi(mf: MatrixFile) -> ChoiMatrix:

@@ -360,6 +360,7 @@ def test_represent_combine_match_dense_reference(dx, dy):
         assert np.abs(represent(b, in_s).values - dense_represent(dx, dy, in_s)).max() <= 1e-12
         assert np.abs(combine(b, v).matrix - dense_combine(dx, dy, v)).max() <= 1e-12
     assert "elements" not in b.__dict__  # represent/combine never build the stack
+    assert "labels" not in b.__dict__  # nor the labels
 
 
 @pytest.mark.parametrize("dx,dy", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -410,6 +411,15 @@ def test_batch_gather_scatter_equal_per_item(dx, dy):
     vs = rng.standard_normal((4, len(b)))
     assert np.array_equal(_gather(b, ms), np.stack([_gather(b, m) for m in ms]))
     assert np.array_equal(_scatter(b, vs), np.stack([_scatter(b, v) for v in vs]))
+
+
+@pytest.mark.parametrize("d", [32, 64])
+def test_channel_basis_holds_only_its_dims(d):
+    # Nothing proportional to dim(S) is built until it is read.
+    b = channel_basis(d, d)
+    assert vars(b) == {"dx": d, "dy": d}
+    assert len(b) == subspace_dimension(d, d)
+    assert vars(b) == {"dx": d, "dy": d}
 
 
 def test_index_tables_built_once_per_basis():
@@ -513,3 +523,10 @@ def test_combine_output_is_exactly_hermitian(dx, dy, seed):
     v = rng.standard_normal(len(b)) * 10.0 ** rng.uniform(-8, 8, len(b))
     j = combine(b, v).matrix
     assert np.array_equal(j, j.conj().T)
+
+
+def test_pairing_rejects_overflowing_norm_before_hermiticity():
+    # m - m^dag would overflow; the norm check comes first, with no warning.
+    m = np.array([[0, 1.5e308], [-1.5e308, 0]], dtype=complex)
+    with pytest.raises(ValidationError, match="non-finite Frobenius norm"):
+        order_unit_pairing(ChoiMatrix(dx=1, dy=2, matrix=m))

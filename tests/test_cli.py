@@ -407,3 +407,23 @@ def test_only_entry_point_freezes_the_heap(tmp_path, capsys):
     assert lines[0] == "import froze False"
     assert lines[1] == "cp true"
     assert lines[-1] == "entry point froze True"
+
+
+def test_not_cp_correlation_warns_on_one_stderr_line(tmp_path, capsys):
+    # Eigenvalues -0.8, 1.9, 1.9 with unit diagonal: a valid correlation
+    # file whose Schur map is not completely positive.
+    u = np.ones(3) / np.sqrt(3)
+    inp = tmp_path / "corr.json"
+    save_matrix_file(inp, "correlation", 3, 3, 1.9 * np.eye(3) - 2.7 * np.outer(u, u))
+    warning = (
+        "warning: correlation matrix has min eigenvalue -8.000e-01; "
+        "the resulting map is not completely positive\n"
+    )
+    # Twice in a row: the warning registry must not swallow the second one.
+    for _ in range(2):
+        assert main(["check", str(inp)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == warning
+        assert captured.out.startswith("cp false\n")
+        assert main(["represent", str(inp), "--output", str(tmp_path / "v.json")]) == 0
+        assert capsys.readouterr().err == warning

@@ -237,3 +237,31 @@ def test_writers_golden_bytes(tmp_path, save, args, expected):
     path = tmp_path / "out.json"
     save(path, *args)
     assert path.read_bytes() == expected.encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "save, args, message",
+    [
+        (save_vector_file, (2, 2, [1.0]), "expected 13 values for dims (2, 2), got 1"),
+        (save_vector_file, (2, 2, np.zeros((13, 1))), "values must be a list of numbers"),
+        (save_matrix_file, ("choi", 2, 2, np.eye(3)), "matrix shape (3, 3) != declared (4, 4)"),
+        (
+            save_matrix_file,
+            ("kraus", 2, 3, np.zeros((2, 2, 2))),
+            "kraus operator shape (2, 2) != declared (3, 2)",
+        ),
+        (
+            save_matrix_file,
+            ("kraus", 2, 3, np.zeros((0, 3, 2))),
+            "kraus data must be a nonempty list of matrices",
+        ),
+        (save_matrix_file, ("unitary", 2, 3, np.eye(2)), "kind 'unitary' requires dx == dy"),
+        (save_matrix_file, ("choi", 0, 2, np.eye(1)), "dx/dy must be positive integers"),
+    ],
+)
+def test_writers_refuse_what_loaders_refuse(tmp_path, save, args, message):
+    path = tmp_path / "out.json"
+    with pytest.raises(FileFormatError) as exc_info:
+        save(path, *args)
+    assert str(exc_info.value) == f"cannot write {path}: {message}"
+    assert not path.exists()

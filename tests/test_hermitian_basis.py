@@ -3,7 +3,7 @@ import pytest
 
 from channelrep import DomainError, hermitian_basis, hs_inner
 
-from fixtures import rand_hermitian
+from fixtures import dense_channel_basis, rand_hermitian
 
 
 def test_d1_single_identity():
@@ -92,3 +92,14 @@ def test_elements_are_immutable():
     b = hermitian_basis(2)
     with pytest.raises(ValueError):
         b.elements[0][0, 0] = 5.0
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_is_the_dx1_channel_basis(d):
+    b = hermitian_basis(d)
+    assert np.array_equal(b.elements, np.stack(list(dense_channel_basis(1, d).values())))
+    labels = [("identity",)] + [("diagonal", k) for k in range(1, d)]
+    for a in range(d):
+        for c in range(a + 1, d):
+            labels += [("sym", a, c), ("antisym", a, c)]
+    assert b.labels == tuple(labels)
