@@ -66,7 +66,14 @@ import numpy as np
 
 from .choi import ChoiMatrix, check_dims
 from .errors import DimensionError, DomainError, NotInSubspaceError, ValidationError
-from .linalg import HERMITICITY_TOL, hermiticity_defect, kron, partial_trace_first, trace_norm
+from .linalg import (
+    HERMITICITY_TOL,
+    _mirror_upper,
+    hermiticity_defect,
+    kron,
+    partial_trace_first,
+    trace_norm,
+)
 
 __all__ = [
     "MEMBERSHIP_TOL",
@@ -114,23 +121,23 @@ class _Tables(NamedTuple):
     """Where each coefficient of a basis lives in the flat float view of J.
 
     Positions index ``J.reshape(-1).view(float)``: the real part of entry
-    (r, c) sits at 2*(r*n + c) and its imaginary part right after it.
+    (r, c) sits at 2*(r*n + c) and its imaginary part right after it.  Every
+    position is on or above the diagonal: J is Hermitian, so the entries
+    below it are the conjugates of these.
     """
 
     block: np.ndarray  # (dy, dx^2): per diagonal block, real diagonal, then [re, im] above it
-    block_mirror: np.ndarray  # (dy, dx^2): the same entries of J^T
     pair: np.ndarray  # (2P,): [re, im] of the J[y1,:,y2,:] entries, y1 < y2
-    pair_mirror: np.ndarray  # (2P,): the same entries of J^T
     weight: np.ndarray  # (dx^2,): 1 on a block's real diagonal, sqrt2 above it
     inv_weight: np.ndarray  # (dx^2,): 1 / weight
-    mirror_weight: np.ndarray  # (dx^2,): inv_weight, negated on imaginary parts
     profiles: np.ndarray  # (dy-1, dy): Helmert rows 1.., which mix the diagonal blocks
 
 
-def _float_positions(dx: int, dy: int, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(block, pair) float-view positions, in coefficient order, of the
-    complex entries numbered by ``flat`` (n, n)."""
-    u = flat.reshape(dy, dx, dy, dx).swapaxes(1, 2)  # [y1, y2] = J[y1,:,y2,:]
+def _float_positions(dx: int, dy: int) -> tuple[np.ndarray, np.ndarray]:
+    """(block, pair) float-view positions of J's entries, in coefficient order."""
+    n = dx * dy
+    # u[y1, y2] numbers the entries of the block J[y1,:,y2,:].
+    u = np.arange(n * n, dtype=np.intp).reshape(dy, dx, dy, dx).swapaxes(1, 2)
     ys, (y1, y2), (a, b) = np.arange(dy), np.triu_indices(dy, 1), np.triu_indices(dx, 1)
 
     def re_im(p):
@@ -186,25 +193,18 @@ class ChannelBasis:
     def _tables(self) -> _Tables:
         """Index tables of ``represent``/``combine``, built on first use.
 
-        2*(dx*dy)^2 intp positions, 16 bytes per Choi entry on 64-bit
+        (dx*dy)^2 intp positions, 8 bytes per Choi entry on 64-bit
         platforms, plus O(dx^2 + dy^2) weights.  Native-width positions let
         ``np.take`` and the fancy writes of ``_scatter`` use them uncast.
         """
-        dx, dy, n = self.dx, self.dy, self.dx * self.dy
-        flat = np.arange(n * n, dtype=np.intp).reshape(n, n)
-        block, pair = _float_positions(dx, dy, flat)
-        block_mirror, pair_mirror = _float_positions(dx, dy, flat.T)
-        on_diagonal = np.arange(dx * dx) < dx
-        inv_weight = np.where(on_diagonal, 1.0, INV_SQRT2)
+        block, pair = _float_positions(self.dx, self.dy)
+        on_diagonal = np.arange(self.dx * self.dx) < self.dx
         return _Tables(
             block=block,
-            block_mirror=block_mirror,
             pair=pair,
-            pair_mirror=pair_mirror,
             weight=np.where(on_diagonal, 1.0, SQRT2),
-            inv_weight=inv_weight,
-            mirror_weight=np.where(block[0] % 2, -inv_weight, inv_weight),
-            profiles=helmert(dy)[1:],
+            inv_weight=np.where(on_diagonal, 1.0, INV_SQRT2),
+            profiles=helmert(self.dy)[1:],
         )
 
 
@@ -297,18 +297,19 @@ def _gather(basis: ChannelBasis, m: np.ndarray) -> np.ndarray:
 
 
 def _scatter(basis: ChannelBasis, values: np.ndarray) -> np.ndarray:
-    """Inverse of ``_gather``: Choi matrices (..., n, n) from coefficients (..., dim S)."""
+    """Inverse of ``_gather``: Choi matrices (..., n, n) from coefficients (..., dim S).
+
+    The coefficients are written on and above the diagonal, then mirrored,
+    so each output equals its conjugate transpose exactly.
+    """
     t, batch, dx, dy = basis._tables, values.shape[:-1], basis.dx, basis.dy
     n, split = dx * dy, 1 + (dy - 1) * dx * dx
     coords = t.profiles.T @ values[..., 1:split].reshape(batch + (dy - 1, dx * dx))
-    pairs = values[..., split:] * INV_SQRT2
     f = np.zeros(batch + (2 * n * n,))
-    f[..., t.block_mirror] = coords * t.mirror_weight
     f[..., t.block] = coords * t.inv_weight
-    f[..., t.pair_mirror] = pairs.view(complex).conj().view(float)
-    f[..., t.pair] = pairs
+    f[..., t.pair] = values[..., split:] * INV_SQRT2
     f[..., :: 2 * (n + 1)] += values[..., :1] / np.sqrt(n)  # real parts of the diagonal
-    return f.view(complex).reshape(batch + (n, n))
+    return _mirror_upper(f.view(complex).reshape(batch + (n, n)))
 
 
 def _check_basis_dims(basis: ChannelBasis, what: str, dx: int, dy: int) -> None:
@@ -384,7 +385,8 @@ def combine(basis: ChannelBasis, v) -> ChoiMatrix:
 
     Exact linear combination, no projection; inverse of ``represent`` on S.
     The coefficients are written straight into the Choi blocks, so the
-    element stack is never built.
+    element stack is never built.  Finite coefficients so large that the
+    Helmert profiles overflow when mixing them raise ``ValidationError``.
     """
     if isinstance(v, CoefficientVector):
         _check_basis_dims(basis, "vector", v.dx, v.dy)
@@ -395,7 +397,9 @@ def combine(basis: ChannelBasis, v) -> ChoiMatrix:
             raise DimensionError(
                 f"expected {len(basis)} coefficients, got shape {values.shape}"
             )
-    return ChoiMatrix(dx=basis.dx, dy=basis.dy, matrix=_scatter(basis, values))
+    with np.errstate(over="ignore", invalid="ignore"):  # ChoiMatrix refuses the result
+        m = _scatter(basis, values)
+    return ChoiMatrix(dx=basis.dx, dy=basis.dy, matrix=m)
 
 
 def order_unit_pairing(j: ChoiMatrix) -> float:

@@ -12,13 +12,7 @@ import numpy as np
 
 from .choi import ChoiMatrix, KrausSet, check_dims, choi_from_kraus
 from .errors import DomainError, ValidationError
-from .linalg import (
-    HERMITICITY_TOL,
-    hermiticity_defect,
-    is_positive_semidefinite,
-    min_eigenvalue_hermitian,
-    res,
-)
+from .linalg import HERMITICITY_TOL, _Hermitian, _mirror_upper, hermiticity_defect, res
 
 __all__ = [
     "NotCompletelyPositiveWarning",
@@ -34,7 +28,10 @@ class NotCompletelyPositiveWarning(UserWarning):
 
 
 def unitary_channel(u) -> ChoiMatrix:
-    """Choi matrix of x -> u x u^dag for a unitary u, via res(u) res(u)^dag."""
+    """Choi matrix of x -> u x u^dag for a unitary u, via res(u) res(u)^dag.
+
+    Like ``choi_from_kraus``, it equals its conjugate transpose exactly.
+    """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {u.shape}")
@@ -43,7 +40,7 @@ def unitary_channel(u) -> ChoiMatrix:
     if defect > HERMITICITY_TOL:
         raise ValidationError(f"matrix is not unitary (max |u^dag u - I| = {defect:.3e})")
     v = res(u)
-    return ChoiMatrix(dx=d, dy=d, matrix=np.outer(v, v.conj()))
+    return ChoiMatrix(dx=d, dy=d, matrix=_mirror_upper(np.outer(v, v.conj())))
 
 
 def validate_correlation(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -73,9 +70,10 @@ def schur_channel(a, cp_tol: float = HERMITICITY_TOL) -> ChoiMatrix:
     """
     a = validate_correlation(a)
     d = a.shape[0]
-    if not is_positive_semidefinite(a, cp_tol):
+    h = _Hermitian(a)
+    if not h.is_psd(cp_tol):
         warnings.warn(
-            f"correlation matrix has min eigenvalue {min_eigenvalue_hermitian(a):.3e}; "
+            f"correlation matrix has min eigenvalue {h.lambda_min:.3e}; "
             "the resulting map is not completely positive",
             NotCompletelyPositiveWarning,
             stacklevel=2,

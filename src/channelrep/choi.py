@@ -22,10 +22,9 @@ import numpy as np
 from .errors import DimensionError, DomainError, ValidationError
 from .linalg import (
     HERMITICITY_TOL,
-    _hermitian_part,
-    _shifted_cholesky_succeeds,
+    _Hermitian,
+    _mirror_upper,
     hermiticity_defect,
-    min_eigenvalue_hermitian,
     partial_trace_first,
     res,
 )
@@ -107,11 +106,13 @@ class KrausSet:
 def choi_from_kraus(k: KrausSet) -> ChoiMatrix:
     """Choi matrix of the map x -> sum_m K_m x K_m^dag.
 
-    Computed as sum_m res(K_m) res(K_m)^dag, which is Hermitian and positive
-    semidefinite by construction.
+    Computed as sum_m res(K_m) res(K_m)^dag, which is positive semidefinite
+    by construction.  The entries above the diagonal are kept and those below
+    it are their conjugates, so the result equals its conjugate transpose
+    exactly, not only to rounding.
     """
     vecs = np.stack([res(op) for op in k.operators])
-    j = vecs.T @ vecs.conj()
+    j = _mirror_upper(vecs.T @ vecs.conj())
     return ChoiMatrix(dx=k.dx, dy=k.dy, matrix=j)
 
 
@@ -138,15 +139,8 @@ def is_completely_positive(j: ChoiMatrix, tol: float = HERMITICITY_TOL) -> bool:
     """
     if tol < 0:
         raise DomainError("tolerance must be >= 0")
-    m = j.matrix
-    m_dag = m.conj().T
-    if (m == m_dag).all():
-        h = m.copy()  # J is its own Hermitian part
-    elif np.abs(m - m_dag).max() > tol:
-        return False
-    else:
-        h = _hermitian_part(m, m_dag)
-    return _shifted_cholesky_succeeds(h, tol) or min_eigenvalue_hermitian(m) >= -tol
+    h = _Hermitian(j.matrix)
+    return h.defect <= tol and h.is_psd(tol)
 
 
 def is_trace_preserving(j: ChoiMatrix, tol: float = HERMITICITY_TOL) -> bool:

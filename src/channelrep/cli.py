@@ -29,7 +29,7 @@ from .choi import (
     is_hermiticity_preserving,
     is_trace_preserving,
 )
-from .errors import ChannelRepError, FileFormatError, NotInSubspaceError
+from .errors import ChannelRepError, NotInSubspaceError
 from .fileio import (
     _encode_matrix,
     _write_json,
@@ -48,6 +48,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NOT_IN_SUBSPACE = 3
 
+# Largest trace-norm round-trip error that passes, relative to max(1, ||J||_F).
 ROUNDTRIP_PASS_THRESHOLD = 1e-12
 
 
@@ -88,30 +89,14 @@ def _load_choi(path):
 
 
 def _load_and_represent(args):
-    """Load ``args.input`` and represent it in the channel basis.
-
-    Returns (basis, j, v), or the exit code after reporting the failure.
-    """
-    try:
-        j = _load_choi(args.input)
-    except (FileFormatError, ChannelRepError) as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR)
+    """Load ``args.input`` and represent it in the channel basis: (basis, j, v)."""
+    j = _load_choi(args.input)
     basis = channel_basis(j.dx, j.dy)
-    try:
-        v = represent(basis, j, membership_tol=args.membership_tol)
-    except NotInSubspaceError as exc:
-        print(f"residual_trace_norm {exc.residual_trace_norm!r}", file=sys.stderr)
-        return _fail(str(exc), EXIT_NOT_IN_SUBSPACE)
-    except ChannelRepError as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR)
-    return basis, j, v
+    return basis, j, represent(basis, j, membership_tol=args.membership_tol)
 
 
 def _cmd_represent(args) -> int:
-    loaded = _load_and_represent(args)
-    if isinstance(loaded, int):
-        return loaded
-    _, j, v = loaded
+    _, j, v = _load_and_represent(args)
     if code := _save(save_vector_file, args.output, j.dx, j.dy, v.values):
         return code
     print(f"dim_s {len(v)}")
@@ -120,49 +105,38 @@ def _cmd_represent(args) -> int:
 
 
 def _cmd_combine(args) -> int:
-    try:
-        vf = load_vector_file(args.input)
-    except FileFormatError as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR)
-    basis = channel_basis(vf.dx, vf.dy)
-    j = combine(basis, vf.values)
+    vf = load_vector_file(args.input)
+    j = combine(channel_basis(vf.dx, vf.dy), vf.values)
     return _save(save_matrix_file, args.output, "choi", vf.dx, vf.dy, j.matrix)
 
 
 def _cmd_check(args) -> int:
-    try:
-        j = _load_choi(args.input)
-        _scale(j.matrix)  # refuses a non-finite Frobenius norm, as represent does
-    except (FileFormatError, ChannelRepError) as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR)
+    j = _load_choi(args.input)
+    _scale(j.matrix)  # refuses a non-finite Frobenius norm, as represent does
     cp = is_completely_positive(j, tol=args.tol)
     tp = is_trace_preserving(j, tol=args.tol)
     hp = is_hermiticity_preserving(j, tol=args.tol)
+    trace = float(np.trace(j.matrix).real)
     print(f"cp {str(cp).lower()}")
     print(f"tp {str(tp).lower()}")
     print(f"hp {str(hp).lower()}")
     print(f"min_eigenvalue {min_eigenvalue_hermitian(j.matrix)!r}")
-    print(f"trace {float(np.trace(j.matrix).real)!r}")
-    print(f"pairing {float(np.trace(j.matrix).real) / j.dx!r}")
+    print(f"trace {trace!r}")
+    print(f"pairing {trace / j.dx!r}")
     return EXIT_OK if (cp and tp) else EXIT_CHECK_FAILED
 
 
 def _cmd_roundtrip(args) -> int:
-    loaded = _load_and_represent(args)
-    if isinstance(loaded, int):
-        return loaded
-    basis, j, v = loaded
+    basis, j, v = _load_and_represent(args)
     recovered = combine(basis, v)
     err = trace_norm(j.matrix - recovered.matrix)
     print(f"{err:.16e}")
-    return EXIT_OK if err <= ROUNDTRIP_PASS_THRESHOLD else EXIT_CHECK_FAILED
+    passed = err <= ROUNDTRIP_PASS_THRESHOLD * _scale(j.matrix)
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def _cmd_basis(args) -> int:
-    try:
-        basis = channel_basis(args.dx, args.dy)
-    except ChannelRepError as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR)
+    basis = channel_basis(args.dx, args.dy)
     elements = [
         {"label": list(label), "matrix": _encode_matrix(element)}
         for label, element in zip(basis.labels, basis.elements)
@@ -175,10 +149,7 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_random(args) -> int:
-    try:
-        j = random_channel(args.dx, args.dy, args.rank, args.seed)
-    except ChannelRepError as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR)
+    j = random_channel(args.dx, args.dy, args.rank, args.seed)
     return _save(save_matrix_file, args.output, "choi", args.dx, args.dy, j.matrix)
 
 
@@ -229,7 +200,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except NotInSubspaceError as exc:
+        print(f"residual_trace_norm {exc.residual_trace_norm!r}", file=sys.stderr)
+        return _fail(str(exc), EXIT_NOT_IN_SUBSPACE)
+    except ChannelRepError as exc:
+        return _fail(str(exc), EXIT_INPUT_ERROR)
 
 
 def entry_point() -> None:

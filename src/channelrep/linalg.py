@@ -7,6 +7,8 @@ output (Y) factor first.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import DimensionError
@@ -75,8 +77,10 @@ def trace_norm(m) -> float:
     m = _as_complex(m)
     if m.size == 0:
         return 0.0
-    if m.ndim == 2 and m.shape[0] == m.shape[1] and (m == m.conj().T).all():
-        return float(np.abs(np.linalg.eigvalsh(m)).sum())
+    if m.ndim == 2 and m.shape[0] == m.shape[1]:
+        h = _Hermitian(m)
+        if h.exact:
+            return float(np.abs(h.eigenvalues()).sum())
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
@@ -96,22 +100,84 @@ def _square(m) -> np.ndarray:
     return m
 
 
-def _hermitian_part(m, m_dag=None) -> np.ndarray:
-    """(m + m^dag)/2 as a new array; ``m_dag`` is m^dag when the caller has it.
+@lru_cache(maxsize=16)
+def _strictly_lower(n: int) -> np.ndarray:
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
 
-    Formed as m/2 + m^dag/2, which cannot overflow where m + m^dag would
-    (finite entries above about 9e307), and equals (m + m^dag)/2 bit for bit
-    unless an entry is subnormal.
+
+def _mirror_upper(m: np.ndarray) -> np.ndarray:
+    """Make the C-contiguous (..., n, n) array ``m`` exactly Hermitian in place.
+
+    Each entry below the diagonal becomes the conjugate of its mirror above
+    it, and the diagonal is made real; returns ``m``.  Only for matrices the
+    package builds: input data is judged as given, never coerced.
     """
-    m = _square(m)
-    h = 0.5 * m
-    h += 0.5 * (m.conj().T if m_dag is None else m_dag)
-    return h
+    n = m.shape[-1]
+    np.copyto(m, m.swapaxes(-1, -2).conj(), where=_strictly_lower(n))
+    m.reshape(m.shape[:-2] + (n * n,))[..., :: n + 1].imag = 0
+    return m
+
+
+class _Hermitian:
+    """What one exact comparison of a square complex array m with m^dag decides.
+
+    ``exact`` is m == m^dag entry for entry; ``defect`` is the max-abs entry
+    of m - m^dag, exactly 0.0 when ``exact``.  The Hermitian part, its
+    eigenvalues and the PSD verdict follow from them.
+    """
+
+    __slots__ = ("m", "_m_dag", "exact", "defect", "_eigenvalues")
+
+    def __init__(self, m: np.ndarray):
+        self.m = m
+        self._m_dag = m_dag = m.conj().T
+        self.exact = bool((m == m_dag).all())
+        self.defect = 0.0 if self.exact else float(np.abs(m - m_dag).max())
+        self._eigenvalues = None
+
+    def part(self) -> np.ndarray:
+        """(m + m^dag)/2 as a new array: a copy of m when ``exact``.
+
+        Otherwise formed as m/2 + m^dag/2, which cannot overflow where
+        m + m^dag would (finite entries above about 9e307), and equals
+        (m + m^dag)/2 bit for bit unless an entry is subnormal.
+        """
+        if self.exact:
+            return self.m.copy()
+        h = 0.5 * self.m
+        h += 0.5 * self._m_dag
+        return h
+
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of the Hermitian part, ascending; computed once."""
+        if self._eigenvalues is None:
+            self._eigenvalues = np.linalg.eigvalsh(self.m if self.exact else self.part())
+        return self._eigenvalues
+
+    @property
+    def lambda_min(self) -> float:
+        return float(self.eigenvalues()[0])
+
+    def is_psd(self, tol: float) -> bool:
+        """The verdict of ``is_positive_semidefinite(m, tol)``."""
+        h = self.part()
+        h.flat[:: h.shape[0] + 1] += tol
+        try:
+            # LAPACK reports success with NaN in the factor when entries span a
+            # huge range (1e-300 next to 1e200); a NaN or inf anywhere in it
+            # reaches its diagonal.
+            if np.isfinite(np.linalg.cholesky(h).diagonal()).all():
+                return True
+        except np.linalg.LinAlgError:
+            pass
+        return self.lambda_min >= -tol
 
 
 def min_eigenvalue_hermitian(m) -> float:
     """Smallest eigenvalue of the Hermitian part (m + m^dag)/2."""
-    return float(np.linalg.eigvalsh(_hermitian_part(m))[0])
+    return _Hermitian(_square(m)).lambda_min
 
 
 def is_positive_semidefinite(m, tol: float) -> bool:
@@ -123,30 +189,12 @@ def is_positive_semidefinite(m, tol: float) -> bool:
     True, and differs from it only when lambda_min(H) + tol is within
     rounding (about n * eps * ||H||) of zero.
     """
-    return _shifted_cholesky_succeeds(_hermitian_part(m), tol) or (
-        min_eigenvalue_hermitian(m) >= -tol
-    )
-
-
-def _shifted_cholesky_succeeds(h: np.ndarray, tol: float) -> bool:
-    """True if h + tol*I, h Hermitian, has a Cholesky factor; h is overwritten."""
-    h.flat[:: h.shape[0] + 1] += tol
-    try:
-        # LAPACK reports success with NaN in the factor when entries span a
-        # huge range (1e-300 next to 1e200); a NaN or inf anywhere in it
-        # reaches its diagonal.
-        return bool(np.isfinite(np.linalg.cholesky(h).diagonal()).all())
-    except np.linalg.LinAlgError:
-        return False
+    return _Hermitian(_square(m)).is_psd(tol)
 
 
 def hermiticity_defect(m) -> float:
     """Max-abs entry of m - m^dag; exactly 0.0 when m equals m^dag."""
-    m = _square(m)
-    m_dag = m.conj().T
-    if (m == m_dag).all():
-        return 0.0
-    return float(np.abs(m - m_dag).max())
+    return _Hermitian(_square(m)).defect
 
 
 def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:

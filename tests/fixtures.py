@@ -76,6 +76,8 @@ MALFORMED_FILES = {
     "huge vector value": b'{"dx": 1, "dy": 1, "values": [%s]}' % _HUGE,
     "not utf-8": b"\xff\xfe{}",
     "deep nesting": b"[" * 100000 + b"]" * 100000,
+    # Loads, but the Helmert profiles of combine overflow when mixing the values.
+    "overflowing coefficients": b'{"dx": 1, "dy": 3, "values": [%s]}' % b", ".join([b"1.7e308"] * 9),
 }
 
 

@@ -30,6 +30,7 @@ from channelrep import (
     unitary_channel,
 )
 from channelrep.channel_basis import _gather, _scatter
+from channelrep.linalg import _mirror_upper
 
 from fixtures import (
     CORRELATION_FULL,
@@ -44,6 +45,7 @@ from fixtures import (
     get_basis,
     multiset_dev,
     ptrace_first_loop,
+    rand_complex,
     rand_hermitian,
     rand_unitary,
 )
@@ -310,6 +312,11 @@ def test_non_finite_coefficients_raise_validation_error():
         combine(get_basis(2, 2), values)
     with pytest.raises(ValidationError):
         CoefficientVector(dx=2, dy=2, values=values)
+    # Finite, but the Helmert profiles overflow when they mix them.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="non-finite entries"):
+            combine(get_basis(1, 3), np.full(9, 1.7e308))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -523,6 +530,54 @@ def test_combine_output_is_exactly_hermitian(dx, dy, seed):
     v = rng.standard_normal(len(b)) * 10.0 ** rng.uniform(-8, 8, len(b))
     j = combine(b, v).matrix
     assert np.array_equal(j, j.conj().T)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_constructed_choi_matrices_are_exactly_hermitian(dx, dy, seed):
+    rng = np.random.default_rng(seed)
+    kraus = KrausSet(dx=dx, dy=dy, operators=rand_complex(rng, (3, dy, dx)))
+    rank = int(rng.integers(-(-dx // dy), dx * dy + 1))
+    for j in (
+        random_channel(dx, dy, rank, seed=seed),
+        choi_from_kraus(kraus),
+        unitary_channel(rand_unitary(rng, dx)),
+    ):
+        assert np.array_equal(j.matrix, j.matrix.conj().T)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_gather_reads_only_what_the_mirror_keeps(dx, dy, seed):
+    # Mirroring changes entries below the diagonal and the imaginary parts
+    # on it; the coefficients do not read them.
+    rng = np.random.default_rng(seed)
+    b, n = get_basis(dx, dy), dx * dy
+    m = rand_hermitian(rng, n) + 1e-12 * rand_complex(rng, (n, n))
+    mirrored = _mirror_upper(m.copy())
+    assert np.array_equal(mirrored, mirrored.conj().T)
+    assert _gather(b, m).tobytes() == _gather(b, mirrored).tobytes()
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(_channels(), st.integers(0, 2**32 - 1))
+def test_coefficients_keep_the_frobenius_norm(j, seed):
+    # The basis is orthonormal, so ||v||_2 = ||J||_F (Parseval), both ways.
+    b = get_basis(j.dx, j.dy)
+    v = represent(b, j).values
+    assert np.linalg.norm(v) == pytest.approx(np.linalg.norm(j.matrix), rel=1e-12)
+    w = np.random.default_rng(seed).standard_normal(len(b))
+    assert np.linalg.norm(combine(b, w).matrix) == pytest.approx(np.linalg.norm(w), rel=1e-12)
+
+
+@settings(max_examples=16, deadline=None, database=None)
+@given(st.integers(1, 4), st.integers(1, 4))
+def test_index_tables_hold_one_position_per_choi_entry(dx, dy):
+    # One 8-byte position per entry of J, plus the weights and the Helmert rows.
+    n = dx * dy
+    b = channel_basis(dx, dy)
+    size = sum(a.nbytes for a in b._tables)
+    assert size <= 8 * n * n + 8 * (2 * dx * dx + dy * dy)
 
 
 def test_pairing_rejects_overflowing_norm_before_hermiticity():

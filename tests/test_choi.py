@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-import channelrep.choi
 from channelrep import (
     ChoiMatrix,
     DimensionError,
@@ -254,13 +253,27 @@ def test_cp_verdict_equals_eigenvalue_rule_on_fixtures():
 
 
 def test_cp_on_exactly_hermitian_input_factors_j_itself(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("formed the Hermitian part of an exactly Hermitian J")
+    # The subnormal 5e-324 replaces J's zero entries (J stays exactly
+    # Hermitian).  Halving rounds it to 0, so a Hermitian part formed as
+    # J/2 + J^dag/2 would differ from J + tol*I, the matrix to be factored.
+    factored = []
+    cholesky = np.linalg.cholesky
 
-    chans = [ChoiMatrix(j.dx, j.dy, (j.matrix + j.matrix.conj().T) / 2) for j in _singular_channels()]
-    monkeypatch.setattr(channelrep.choi, "_hermitian_part", forbidden)
+    def spy(h):
+        factored.append(h.copy())
+        return cholesky(h)
+
+    chans = []
+    for j in _singular_channels():
+        m = (j.matrix + j.matrix.conj().T) / 2 + 5e-324 * (1 - np.eye(j.dx * j.dy))
+        chans.append(ChoiMatrix(j.dx, j.dy, m))
+    assert sum(int((j.matrix == 5e-324).sum()) for j in chans) > 0
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
     for j in chans:
         assert is_completely_positive(j, tol=1e-10)
+        want = j.matrix.copy()
+        want.flat[:: j.dx * j.dy + 1] += 1e-10
+        assert np.array_equal(factored.pop(), want)
     assert not is_completely_positive(ChoiMatrix(dx=2, dy=2, matrix=-HADAMARD_CHOI))
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import channelrep
-from channelrep import kron, unitary_channel
+from channelrep import kron, random_channel, unitary_channel
 from channelrep.cli import _build_parser, main
 from channelrep.fileio import load_matrix_file, load_vector_file, save_matrix_file, save_vector_file
 
@@ -20,6 +20,8 @@ from fixtures import (
     HADAMARD_COEFF_MULTISET,
     MALFORMED_FILES,
     multiset_dev,
+    rand_complex,
+    rand_unitary,
 )
 
 
@@ -147,6 +149,23 @@ def test_roundtrip_schur(tmp_path, capsys):
     save_matrix_file(inp, "correlation", 3, 3, CORRELATION_2DP)
     assert main(["roundtrip", str(inp)]) == 0
     assert float(capsys.readouterr().out.strip()) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
+def test_roundtrip_verdict_does_not_depend_on_units(tmp_path, capsys, scale):
+    # A full-rank channel with its output rotated by U is Hermitian only to
+    # rounding, so its round trip is off by about n * eps * ||J||; an
+    # anti-Hermitian part of 1e-11 * ||J|| fails at every scale.
+    rng = np.random.default_rng(13)
+    u = np.kron(rand_unitary(rng, 2), np.eye(2))
+    j = u @ random_channel(2, 2, 4, seed=14).matrix @ u.conj().T
+    skew = rand_complex(rng, (4, 4))
+    skew -= skew.conj().T
+    inp = tmp_path / "j.json"
+    for m, code in ((j, 0), (j + 1e-11 * skew / np.abs(skew).max(), 1)):
+        save_matrix_file(inp, "choi", 2, 2, scale * m)
+        assert main(["roundtrip", str(inp)]) == code
+        assert float(capsys.readouterr().out) >= 0.0
 
 
 def test_roundtrip_not_in_subspace_exit_3(tmp_path, capsys):
@@ -317,6 +336,7 @@ def test_console_invocation(tmp_path):
         ("represent", "huge matrix entry"),
         ("check", "huge matrix entry"),
         ("combine", "huge vector value"),
+        ("combine", "overflowing coefficients"),
         ("represent", "not utf-8"),
         ("combine", "not utf-8"),
         ("check", "deep nesting"),

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import channelrep.linalg
 from channelrep import DimensionError
 from channelrep.linalg import (
+    _Hermitian,
     hermiticity_defect,
     hs_inner,
     is_hermitian,
@@ -304,10 +304,10 @@ def test_psd_test_follows_eigenvalue_rule(case):
 
 
 def test_psd_test_skips_eigenvalues_when_cholesky_succeeds(monkeypatch):
-    def forbidden(m):
+    def forbidden(*args, **kwargs):
         raise AssertionError("eigenvalue fallback ran")
 
-    monkeypatch.setattr(channelrep.linalg, "min_eigenvalue_hermitian", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     assert is_positive_semidefinite(HADAMARD_CHOI, 1e-10)
     assert is_positive_semidefinite(np.eye(5), 0.0)
 
@@ -336,19 +336,25 @@ def test_psd_test_uses_hermitian_part():
 def test_hermitian_part_does_not_overflow():
     # m + m^dag overflows to inf above about 9e307; m/2 + m^dag/2 does not.
     m = 1e308 * np.array([[1.0, 0.5j], [-0.5j, 1.0]])  # eigenvalues 0.5e308, 1.5e308
+    # Not exactly Hermitian, so its Hermitian part has to be formed.
+    skewed = 1e308 * np.array([[1.0, 0.5j], [-0.25j, 1.0]])  # part: 0.375j off the diagonal
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.array_equal(channelrep.linalg._hermitian_part(m), m)
+        assert np.array_equal(_Hermitian(m).part(), m)
         assert min_eigenvalue_hermitian(m) == pytest.approx(0.5e308, rel=1e-12)
         assert is_positive_semidefinite(m, 1e-10)
         assert not is_positive_semidefinite(-m, 1e-10)
+        assert np.array_equal(_Hermitian(skewed).part(), skewed / 2 + skewed.conj().T / 2)
+        assert min_eigenvalue_hermitian(skewed) == pytest.approx(0.625e308, rel=1e-12)
+        assert is_positive_semidefinite(skewed, 1e-10)
+        assert not is_positive_semidefinite(-skewed, 1e-10)
 
 
 def test_hermitian_part_matches_sum_then_halve():
     rng = np.random.default_rng(21)
     for _ in range(50):
         m = rand_complex(rng, (6, 6)) * 10.0 ** rng.uniform(-300, 300, (6, 6))
-        assert np.array_equal(channelrep.linalg._hermitian_part(m), (m + m.conj().T) / 2)
+        assert np.array_equal(_Hermitian(m).part(), (m + m.conj().T) / 2)
 
 
 def test_psd_test_non_square():
