@@ -46,10 +46,17 @@ rejected as non-Hermitian when its max-abs defect exceeds
 HERMITICITY_TOL * s, and by ``represent`` as outside S when the trace norm
 of its projection onto the complement, ||Tr_Y J - (tr J/dx) I||_1, exceeds
 membership_tol * s.  Since that residual R is dx x dx, the bound
-sqrt(dx) ||R||_F >= ||R||_1 accepts first; only when it does not is the
-trace norm computed, and it decides and is reported.  A J whose norm is not
-finite (NaN or inf entries, or entries so large that ||J||_F overflows) is
-rejected before either check.
+sqrt(dx) ||R||_F >= ||R||_1 accepts first.  It costs no extra pass over J:
+the diagonal blocks that the coefficients are mixed from also sum to the
+upper triangle of Tr_Y J, so R comes out of the same read.  On a J that is
+Hermitian only within HERMITICITY_TOL, the R of all of J differs from that
+read by at most dy * defect per entry, so dx * dy * defect is added to
+||R||_F.  Only when the bound does not accept is Tr_Y J formed from all of
+J and its exact trace norm computed; that decides, and a rejection reports
+it.  A J whose norm is not finite (NaN or inf entries, or entries so large
+that ||J||_F overflows) is rejected before either check.  The defect, s and
+the eigenvalues come from J's Hermitian record (``linalg._Hermitian``),
+which a ``ChoiMatrix`` keeps, so they are computed once per matrix.
 
 The first coefficient of any CP+TP Choi matrix equals sqrt(dx/dy), and the
 pairing <I/dx, J> (``order_unit_pairing``) equals 1 exactly on channels.
@@ -57,6 +64,7 @@ pairing <I/dx, J> (``order_unit_pairing``) equals 1 exactly on channels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
@@ -64,12 +72,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .choi import ChoiMatrix, check_dims
+from .choi import ChoiMatrix, _exact_choi, check_dims
 from .errors import DimensionError, DomainError, NotInSubspaceError, ValidationError
 from .linalg import (
     HERMITICITY_TOL,
+    _Hermitian,
     _mirror_upper,
-    hermiticity_defect,
     kron,
     partial_trace_first,
     trace_norm,
@@ -217,7 +225,7 @@ class CoefficientVector:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
         expected = subspace_dimension(self.dx, self.dy)
         if vals.shape != (expected,):
             raise DimensionError(
@@ -226,7 +234,6 @@ class CoefficientVector:
             )
         if not np.isfinite(vals).all():
             raise ValidationError("coefficient vector contains non-finite entries")
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -281,19 +288,26 @@ def channel_basis(dx: int, dy: int) -> ChannelBasis:
     return ChannelBasis(dx=dx, dy=dy)
 
 
-def _gather(basis: ChannelBasis, m: np.ndarray) -> np.ndarray:
+def _gather(basis: ChannelBasis, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients (..., dim S) of Choi matrices (..., n, n), read from their blocks.
 
     For Hermitian input these are the overlaps <E_k, J> with the basis
-    elements; entries below the diagonal are not read.
+    elements; entries below the diagonal are not read.  Also returns the
+    upper triangle of Tr_Y J (..., dx^2) in the layout of a block row: the
+    real diagonal, then sqrt(2) times [re, im] of each entry above it.  It
+    is the sum over y of the weighted diagonal blocks the coefficients are
+    mixed from, so both come from one read.
     """
-    t, batch = basis._tables, m.shape[:-2]
+    t, batch, dx, dy = basis._tables, m.shape[:-2], basis.dx, basis.dy
     m = np.ascontiguousarray(m)
     f = m.reshape(batch + (-1,)).view(float)
-    identity = np.trace(m, axis1=-2, axis2=-1).real[..., None] / np.sqrt(basis.dx * basis.dy)
-    diag = t.profiles @ (np.take(f, t.block, axis=-1) * t.weight)
-    pairs = SQRT2 * np.take(f, t.pair, axis=-1)
-    return np.concatenate([identity, diag.reshape(batch + (-1,)), pairs], axis=-1)
+    rows = f.take(t.block, axis=-1) * t.weight  # (..., dy, dx^2)
+    split = 1 + (dy - 1) * dx * dx
+    values = np.empty(batch + (len(basis),))
+    values[..., 0] = m.trace(axis1=-2, axis2=-1).real / math.sqrt(dx * dy)
+    values[..., 1:split] = (t.profiles @ rows).reshape(batch + (-1,))
+    np.multiply(f.take(t.pair, axis=-1), SQRT2, out=values[..., split:])
+    return values, rows.sum(axis=-2)
 
 
 def _scatter(basis: ChannelBasis, values: np.ndarray) -> np.ndarray:
@@ -305,10 +319,11 @@ def _scatter(basis: ChannelBasis, values: np.ndarray) -> np.ndarray:
     t, batch, dx, dy = basis._tables, values.shape[:-1], basis.dx, basis.dy
     n, split = dx * dy, 1 + (dy - 1) * dx * dx
     coords = t.profiles.T @ values[..., 1:split].reshape(batch + (dy - 1, dx * dx))
+    coords *= t.inv_weight
     f = np.zeros(batch + (2 * n * n,))
-    f[..., t.block] = coords * t.inv_weight
+    f[..., t.block] = coords
     f[..., t.pair] = values[..., split:] * INV_SQRT2
-    f[..., :: 2 * (n + 1)] += values[..., :1] / np.sqrt(n)  # real parts of the diagonal
+    f[..., :: 2 * (n + 1)] += values[..., :1] / math.sqrt(n)  # real parts of the diagonal
     return _mirror_upper(f.view(complex).reshape(batch + (n, n)))
 
 
@@ -319,37 +334,25 @@ def _check_basis_dims(basis: ChannelBasis, what: str, dx: int, dy: int) -> None:
         )
 
 
-def _coerce_choi(basis: ChannelBasis, j) -> np.ndarray:
+def _coerce_choi(basis: ChannelBasis, j) -> _Hermitian:
+    """The Hermitian record of J: the one a ``ChoiMatrix`` keeps, or a new
+    one of a bare square array of side dx*dy."""
     if isinstance(j, ChoiMatrix):
         _check_basis_dims(basis, "Choi", j.dx, j.dy)
-        return j.matrix
+        return j._hermitian
     m = np.asarray(j, dtype=complex)
     n = basis.dx * basis.dy
     if m.shape != (n, n):
         raise DimensionError(f"expected a {n}x{n} matrix, got {m.shape}")
-    return m
+    return _Hermitian(np.ascontiguousarray(m))
 
 
-def _scale(m: np.ndarray) -> float:
-    """s = max(1, ||m||_F), the scale that the tolerances of S are relative to.
-
-    Raises ``ValidationError`` when the norm is not finite (a NaN or inf
-    entry, or entries so large that it overflows): every tolerance would
-    then be NaN or inf.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = float(np.linalg.norm(m))
-    if not np.isfinite(norm):
-        raise ValidationError(f"matrix has a non-finite Frobenius norm ({norm})")
-    return max(1.0, norm)
-
-
-def _hermitian_scale(m: np.ndarray) -> float:
-    """``_scale(m)``; m is rejected as non-Hermitian above HERMITICITY_TOL times it."""
-    scale = _scale(m)
-    defect = hermiticity_defect(m)
-    if defect > HERMITICITY_TOL * scale:
-        raise ValidationError(f"matrix is not Hermitian (max defect {defect:.3e})")
+def _hermitian_scale(h: _Hermitian) -> float:
+    """The scale s of the record's matrix (a non-finite norm is refused
+    first); the matrix is rejected as non-Hermitian above HERMITICITY_TOL * s."""
+    scale = h.scale()
+    if h.defect > HERMITICITY_TOL * scale:
+        raise ValidationError(f"matrix is not Hermitian (max defect {h.defect:.3e})")
     return scale
 
 
@@ -365,18 +368,24 @@ def represent(
     stated in the module docstring; ``NotInSubspaceError`` carries the
     residual trace norm of an input outside S.
     """
-    m = _coerce_choi(basis, j)
-    scale = _hermitian_scale(m)
-    resid = partial_trace_first(m, basis.dy, basis.dx)
-    resid.flat[:: basis.dx + 1] -= np.trace(resid) / basis.dx
-    # ||R||_1 <= sqrt(rank R) ||R||_F, so the Frobenius bound accepts
-    # without an eigen- or singular value decomposition.
-    tol = membership_tol * scale
-    if np.sqrt(basis.dx) * np.linalg.norm(resid) > tol:
+    h = _coerce_choi(basis, j)
+    tol = membership_tol * _hermitian_scale(h)
+    values, reduced = _gather(basis, h.m)
+    # The residual R = Tr_Y J - (tr J/dx) I read from the upper triangle:
+    # its diagonal, then sqrt(2) [re, im] above it, so that reduced @ reduced
+    # is ||R||_F^2.  The R of all of J differs from it by at most dy * defect
+    # per entry, so by dx * dy * defect in Frobenius norm.  ||R||_1 <=
+    # sqrt(dx) ||R||_F accepts without a decomposition; only the exact trace
+    # norm rejects.
+    diag = reduced[: basis.dx]
+    diag -= diag.sum() / basis.dx
+    frobenius = math.sqrt(reduced @ reduced) + basis.dx * basis.dy * h.defect
+    if math.sqrt(basis.dx) * frobenius > tol:
+        resid = partial_trace_first(h.m, basis.dy, basis.dx)
+        resid.flat[:: basis.dx + 1] -= np.trace(resid) / basis.dx
         resid_norm = trace_norm(resid)
         if resid_norm > tol:
             raise NotInSubspaceError(resid_norm)
-    values = _gather(basis, m)
     return CoefficientVector(dx=basis.dx, dy=basis.dy, values=values)
 
 
@@ -385,8 +394,10 @@ def combine(basis: ChannelBasis, v) -> ChoiMatrix:
 
     Exact linear combination, no projection; inverse of ``represent`` on S.
     The coefficients are written straight into the Choi blocks, so the
-    element stack is never built.  Finite coefficients so large that the
-    Helmert profiles overflow when mixing them raise ``ValidationError``.
+    element stack is never built.  The result is exactly Hermitian by
+    construction, and its record says so without comparing.  Finite
+    coefficients so large that the Helmert profiles overflow when mixing
+    them raise ``ValidationError``.
     """
     if isinstance(v, CoefficientVector):
         _check_basis_dims(basis, "vector", v.dx, v.dy)
@@ -399,7 +410,7 @@ def combine(basis: ChannelBasis, v) -> ChoiMatrix:
             )
     with np.errstate(over="ignore", invalid="ignore"):  # ChoiMatrix refuses the result
         m = _scatter(basis, values)
-    return ChoiMatrix(dx=basis.dx, dy=basis.dy, matrix=m)
+    return _exact_choi(basis.dx, basis.dy, m)
 
 
 def order_unit_pairing(j: ChoiMatrix) -> float:
@@ -411,5 +422,5 @@ def order_unit_pairing(j: ChoiMatrix) -> float:
     the positive cone in S.  J is rejected as non-Hermitian under the same
     scale-relative tolerance as in ``represent``.
     """
-    _hermitian_scale(j.matrix)
+    _hermitian_scale(j._hermitian)
     return float(np.trace(j.matrix).real) / j.dx

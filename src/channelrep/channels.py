@@ -10,9 +10,9 @@ import warnings
 
 import numpy as np
 
-from .choi import ChoiMatrix, KrausSet, check_dims, choi_from_kraus
+from .choi import ChoiMatrix, KrausSet, _exact_choi, check_dims, choi_from_kraus
 from .errors import DomainError, ValidationError
-from .linalg import HERMITICITY_TOL, _Hermitian, _mirror_upper, hermiticity_defect, res
+from .linalg import HERMITICITY_TOL, _Hermitian, _mirror_upper, res
 
 __all__ = [
     "NotCompletelyPositiveWarning",
@@ -40,23 +40,28 @@ def unitary_channel(u) -> ChoiMatrix:
     if defect > HERMITICITY_TOL:
         raise ValidationError(f"matrix is not unitary (max |u^dag u - I| = {defect:.3e})")
     v = res(u)
-    return ChoiMatrix(dx=d, dy=d, matrix=_mirror_upper(np.outer(v, v.conj())))
+    return _exact_choi(d, d, _mirror_upper(np.outer(v, v.conj())))
 
 
-def validate_correlation(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Check that ``a`` is Hermitian with unit diagonal; return it as complex."""
+def _correlation_record(a, tol: float) -> _Hermitian:
+    """The Hermitian record of ``a``, checked as ``validate_correlation`` states."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    defect = hermiticity_defect(a)
-    if defect > tol:
-        raise ValidationError(f"correlation matrix is not Hermitian (defect {defect:.3e})")
+    h = _Hermitian(a)
+    if h.defect > tol:
+        raise ValidationError(f"correlation matrix is not Hermitian (defect {h.defect:.3e})")
     diag_defect = np.abs(np.diag(a) - 1.0).max()
     if diag_defect > tol:
         raise ValidationError(
             f"correlation matrix does not have unit diagonal (defect {diag_defect:.3e})"
         )
-    return a
+    return h
+
+
+def validate_correlation(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """Check that ``a`` is Hermitian with unit diagonal; return it as complex."""
+    return _correlation_record(a, tol).m
 
 
 def schur_channel(a, cp_tol: float = HERMITICITY_TOL) -> ChoiMatrix:
@@ -68,9 +73,8 @@ def schur_channel(a, cp_tol: float = HERMITICITY_TOL) -> ChoiMatrix:
     ``cp_tol`` (the rule of ``is_completely_positive``) the construction
     still succeeds but a ``NotCompletelyPositiveWarning`` is emitted.
     """
-    a = validate_correlation(a)
-    d = a.shape[0]
-    h = _Hermitian(a)
+    h = _correlation_record(a, HERMITICITY_TOL)
+    a, d = h.m, h.m.shape[0]
     if not h.is_psd(cp_tol):
         warnings.warn(
             f"correlation matrix has min eigenvalue {h.lambda_min:.3e}; "

@@ -16,6 +16,7 @@ tracing out the second factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .linalg import (
     HERMITICITY_TOL,
     _Hermitian,
     _mirror_upper,
-    hermiticity_defect,
     partial_trace_first,
     res,
 )
@@ -48,7 +48,14 @@ def check_dims(dx: int, dy: int) -> None:
 
 @dataclass(frozen=True)
 class ChoiMatrix:
-    """A Choi matrix of side dy*dx tagged with its (dx, dy) dimensions."""
+    """A Choi matrix of side dy*dx tagged with its (dx, dy) dimensions.
+
+    The matrix is a read-only copy.  Its Hermitian record (``linalg._Hermitian``:
+    the exact comparison with J^dag, the defect, the scale and the
+    eigenvalues) is built on first use and kept, so the CP/HP predicates,
+    ``represent``, ``order_unit_pairing`` and the CLI analyse J once.  The
+    record holds no array besides the matrix itself and its eigenvalues.
+    """
 
     dx: int
     dy: int
@@ -56,18 +63,30 @@ class ChoiMatrix:
 
     def __post_init__(self):
         check_dims(self.dx, self.dy)
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex, order="C")
         side = self.dx * self.dy
         if m.shape != (side, side):
             raise DimensionError(
                 f"Choi matrix for dims ({self.dx}, {self.dy}) must be "
                 f"{side}x{side}, got {m.shape}"
             )
-        if not np.isfinite(m).all():
+        if not np.isfinite(m.view(float)).all():
             raise ValidationError("Choi matrix contains non-finite entries")
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @cached_property
+    def _hermitian(self) -> _Hermitian:
+        return _Hermitian(self.matrix)
+
+
+def _exact_choi(dx: int, dy: int, m: np.ndarray) -> ChoiMatrix:
+    """ChoiMatrix of ``m``, which the package built exactly Hermitian by
+    mirroring its upper triangle; its record is marked exact instead of
+    comparing J with J^dag."""
+    j = ChoiMatrix(dx=dx, dy=dy, matrix=m)
+    object.__setattr__(j, "_hermitian", _Hermitian(j.matrix, exact=True))
+    return j
 
 
 @dataclass(frozen=True)
@@ -112,8 +131,7 @@ def choi_from_kraus(k: KrausSet) -> ChoiMatrix:
     exactly, not only to rounding.
     """
     vecs = np.stack([res(op) for op in k.operators])
-    j = _mirror_upper(vecs.T @ vecs.conj())
-    return ChoiMatrix(dx=k.dx, dy=k.dy, matrix=j)
+    return _exact_choi(k.dx, k.dy, _mirror_upper(vecs.T @ vecs.conj()))
 
 
 def apply_channel(j: ChoiMatrix, x) -> np.ndarray:
@@ -134,12 +152,12 @@ def is_completely_positive(j: ChoiMatrix, tol: float = HERMITICITY_TOL) -> bool:
     J is accepted; if it refuses, the eigenvalue rule lambda_min(H) >= -tol
     decides.  This never rejects what the eigenvalue rule accepts, and
     accepts what it rejects only when lambda_min(H) lies within rounding
-    (about n * eps * ||H||) of -tol.  J^dag is formed once; a J equal to it
-    bit for bit is its own Hermitian part and is factored directly.
+    (about n * eps * ||H||) of -tol.  It reads J's cached record: a J equal
+    to J^dag bit for bit is its own Hermitian part and is factored directly.
     """
     if tol < 0:
         raise DomainError("tolerance must be >= 0")
-    h = _Hermitian(j.matrix)
+    h = j._hermitian
     return h.defect <= tol and h.is_psd(tol)
 
 
@@ -156,4 +174,4 @@ def is_hermiticity_preserving(j: ChoiMatrix, tol: float = HERMITICITY_TOL) -> bo
     """HP iff the Choi matrix is Hermitian within tol."""
     if tol < 0:
         raise DomainError("tolerance must be >= 0")
-    return hermiticity_defect(j.matrix) <= tol
+    return j._hermitian.defect <= tol

@@ -16,13 +16,7 @@ import warnings
 
 import numpy as np
 
-from .channel_basis import (
-    MEMBERSHIP_TOL,
-    _scale,
-    channel_basis,
-    combine,
-    represent,
-)
+from .channel_basis import MEMBERSHIP_TOL, channel_basis, combine, represent
 from .channels import random_channel
 from .choi import (
     is_completely_positive,
@@ -39,7 +33,7 @@ from .fileio import (
     save_matrix_file,
     save_vector_file,
 )
-from .linalg import HERMITICITY_TOL, min_eigenvalue_hermitian, trace_norm
+from .linalg import HERMITICITY_TOL, trace_norm
 
 __all__ = ["main", "entry_point"]
 
@@ -112,7 +106,8 @@ def _cmd_combine(args) -> int:
 
 def _cmd_check(args) -> int:
     j = _load_choi(args.input)
-    _scale(j.matrix)  # refuses a non-finite Frobenius norm, as represent does
+    h = j._hermitian  # the predicates below read this one record of J
+    h.scale()  # refuses a non-finite Frobenius norm, as represent does
     cp = is_completely_positive(j, tol=args.tol)
     tp = is_trace_preserving(j, tol=args.tol)
     hp = is_hermiticity_preserving(j, tol=args.tol)
@@ -120,7 +115,7 @@ def _cmd_check(args) -> int:
     print(f"cp {str(cp).lower()}")
     print(f"tp {str(tp).lower()}")
     print(f"hp {str(hp).lower()}")
-    print(f"min_eigenvalue {min_eigenvalue_hermitian(j.matrix)!r}")
+    print(f"min_eigenvalue {h.lambda_min!r}")
     print(f"trace {trace!r}")
     print(f"pairing {trace / j.dx!r}")
     return EXIT_OK if (cp and tp) else EXIT_CHECK_FAILED
@@ -131,7 +126,7 @@ def _cmd_roundtrip(args) -> int:
     recovered = combine(basis, v)
     err = trace_norm(j.matrix - recovered.matrix)
     print(f"{err:.16e}")
-    passed = err <= ROUNDTRIP_PASS_THRESHOLD * _scale(j.matrix)
+    passed = err <= ROUNDTRIP_PASS_THRESHOLD * j._hermitian.scale()
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 

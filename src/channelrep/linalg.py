@@ -7,11 +7,12 @@ output (Y) factor first.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, ValidationError
 
 __all__ = [
     "HERMITICITY_TOL",
@@ -124,21 +125,59 @@ class _Hermitian:
     """What one exact comparison of a square complex array m with m^dag decides.
 
     ``exact`` is m == m^dag entry for entry; ``defect`` is the max-abs entry
-    of m - m^dag, exactly 0.0 when ``exact``.  The Hermitian part, its
-    eigenvalues and the PSD verdict follow from them.
+    of m - m^dag, exactly 0.0 when ``exact``.  Both come from one comparison,
+    made on first use; m^dag is not kept after it.  A matrix the package
+    built exactly Hermitian by mirroring is recorded with ``exact=True`` and
+    never compared.  The scale, the Hermitian part, its eigenvalues and the
+    PSD verdict follow; the scale and the eigenvalues are computed at most
+    once.  A ``ChoiMatrix`` caches its record, so the predicates,
+    ``represent`` and the CLI share one analysis of J.
     """
 
-    __slots__ = ("m", "_m_dag", "exact", "defect", "_eigenvalues")
+    __slots__ = ("m", "_exact", "_defect", "_scale", "_eigenvalues")
 
-    def __init__(self, m: np.ndarray):
+    def __init__(self, m: np.ndarray, exact: bool | None = None):
         self.m = m
-        self._m_dag = m_dag = m.conj().T
-        self.exact = bool((m == m_dag).all())
-        self.defect = 0.0 if self.exact else float(np.abs(m - m_dag).max())
+        self._exact = exact
+        self._defect = 0.0 if exact else None
+        self._scale = None
         self._eigenvalues = None
 
+    def _compare(self) -> None:
+        # Compared as float views of two C-ordered arrays: equal parts are
+        # equal entries, and numpy compares floats faster than complex.
+        m_dag = np.conjugate(self.m.T, order="C")
+        self._exact = bool((np.ascontiguousarray(self.m).view(float) == m_dag.view(float)).all())
+        self._defect = 0.0 if self._exact else float(np.abs(self.m - m_dag).max())
+
+    @property
+    def exact(self) -> bool:
+        if self._exact is None:
+            self._compare()
+        return self._exact
+
+    @property
+    def defect(self) -> float:
+        if self._defect is None:
+            self._compare()
+        return self._defect
+
+    def scale(self) -> float:
+        """s = max(1, ||m||_F), the scale the package's tolerances are relative to.
+
+        Raises ``ValidationError`` when the norm is not finite (a NaN or inf
+        entry, or entries so large that it overflows): every tolerance would
+        then be NaN or inf.
+        """
+        if self._scale is None:
+            norm = math.sqrt(np.vdot(self.m, self.m).real)
+            if not math.isfinite(norm):
+                raise ValidationError(f"matrix has a non-finite Frobenius norm ({norm})")
+            self._scale = max(1.0, norm)
+        return self._scale
+
     def part(self) -> np.ndarray:
-        """(m + m^dag)/2 as a new array: a copy of m when ``exact``.
+        """(m + m^dag)/2 as a new C-ordered array: a copy of m when ``exact``.
 
         Otherwise formed as m/2 + m^dag/2, which cannot overflow where
         m + m^dag would (finite entries above about 9e307), and equals
@@ -146,8 +185,8 @@ class _Hermitian:
         """
         if self.exact:
             return self.m.copy()
-        h = 0.5 * self.m
-        h += 0.5 * self._m_dag
+        h = np.multiply(self.m, 0.5, order="C")
+        h += 0.5 * self.m.conj().T
         return h
 
     def eigenvalues(self) -> np.ndarray:
@@ -163,7 +202,7 @@ class _Hermitian:
     def is_psd(self, tol: float) -> bool:
         """The verdict of ``is_positive_semidefinite(m, tol)``."""
         h = self.part()
-        h.flat[:: h.shape[0] + 1] += tol
+        h.reshape(-1)[:: h.shape[0] + 1] += tol  # the diagonal, in place
         try:
             # LAPACK reports success with NaN in the factor when entries span a
             # huge range (1e-300 next to 1e200); a NaN or inf anywhere in it

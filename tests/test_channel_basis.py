@@ -18,6 +18,9 @@ from channelrep import (
     channel_basis,
     choi_from_kraus,
     combine,
+    hermiticity_defect,
+    is_completely_positive,
+    is_hermiticity_preserving,
     is_trace_preserving,
     kron,
     order_unit_pairing,
@@ -30,7 +33,7 @@ from channelrep import (
     unitary_channel,
 )
 from channelrep.channel_basis import _gather, _scatter
-from channelrep.linalg import _mirror_upper
+from channelrep.linalg import HERMITICITY_TOL, _Hermitian, _mirror_upper
 
 from fixtures import (
     CORRELATION_FULL,
@@ -353,7 +356,7 @@ def test_elements_equal_dense_reference(dx, dy):
     assert np.array_equal(b.elements, np.stack(list(ref.values())))
     assert not b.elements.flags.writeable
     # Reading the whole stack at once (leading batch axis) inverts the write.
-    assert np.abs(_gather(b, b.elements) - np.eye(len(b))).max() <= 1e-15
+    assert np.abs(_gather(b, b.elements)[0] - np.eye(len(b))).max() <= 1e-15
 
 
 @pytest.mark.parametrize("dx,dy", REFERENCE_DIMS)
@@ -416,7 +419,8 @@ def test_batch_gather_scatter_equal_per_item(dx, dy):
     b, n = channel_basis(dx, dy), dx * dy
     ms = np.stack([rand_hermitian(rng, n) for _ in range(4)])
     vs = rng.standard_normal((4, len(b)))
-    assert np.array_equal(_gather(b, ms), np.stack([_gather(b, m) for m in ms]))
+    for batched, per_item in zip(_gather(b, ms), zip(*[_gather(b, m) for m in ms])):
+        assert np.array_equal(batched, np.stack(per_item))
     assert np.array_equal(_scatter(b, vs), np.stack([_scatter(b, v) for v in vs]))
 
 
@@ -476,37 +480,72 @@ def test_sperp_direction_rejected_at_any_scale(j, t, scale, seed):
 
 # Residual shapes for the membership bound ||R||_1 <= sqrt(dx) ||R||_F.  On
 # a traceless +-1 diagonal with even dx the two sides are equal, so a bound
-# without its sqrt(dx) accepts residuals above the tolerance.
-PLANTED = [(2, 2, "flat"), (4, 2, "flat"), (4, 3, "flat"), (2, 3, "random"), (3, 3, "random"), (4, 2, "random")]
+# without its sqrt(dx) accepts residuals above the tolerance.  The bound
+# reads only the upper triangle of J; a "skew" input also carries an
+# anti-Hermitian part below HERMITICITY_TOL, which the exact rule reads.  In
+# "pairs skew" the residual is c * sigma_x on pairs of rows, as small as the
+# default tolerance, and the anti-Hermitian part (just under HERMITICITY_TOL)
+# lowers its upper entries by about 1% of c: the upper triangle alone then
+# reads a residual below the one the exact rule judges.
+PLANTED = [
+    (2, 2, "flat"), (4, 2, "flat"), (4, 3, "flat"), (2, 3, "random"), (3, 3, "random"), (4, 2, "random"),
+    (2, 2, "flat skew"), (4, 3, "flat skew"), (3, 3, "random skew"), (4, 2, "random skew"),
+    (2, 1, "pairs skew"), (2, 3, "pairs skew"), (4, 2, "pairs skew"),
+]
 
 
 def _planted(dx, dy, shape, scale):
-    """(m, ||R||_1, s) for a channel plus a residual of the given shape."""
+    """(m, ||R||_1, s) for a channel plus a residual of the given shape; R is
+    read from all of m, as the full-matrix rule does."""
     rng = np.random.default_rng(480 + dx * dy)
-    if shape == "flat":
+    size = 1e-3
+    if shape.startswith("flat"):
         h = np.diag([1.0, -1.0] * (dx // 2))
+    elif shape.startswith("pairs"):
+        h, size = kron(np.eye(dx // 2), np.array([[0.0, 1.0], [1.0, 0.0]])), 1e-8
     else:
         h = rand_hermitian(rng, dx)
         h -= np.trace(h) / dx * np.eye(dx)
-    m = scale * (random_channel(dx, dy, dx * dy, seed=481).matrix + 1e-3 * kron(np.eye(dy), h))
+    m = scale * (random_channel(dx, dy, dx * dy, seed=481).matrix + size * kron(np.eye(dy), h))
+    if shape.startswith("pairs"):  # lower each upper entry of h, raise its mirror
+        a = 0.45 * HERMITICITY_TOL * max(1.0, np.linalg.norm(m))
+        rows = np.flatnonzero(np.triu(kron(np.eye(dy), h)).any(axis=1))
+        m[rows, rows + 1] -= a
+        m[rows + 1, rows] += a
+    elif shape.endswith("skew"):  # an anti-Hermitian part with max-abs entry 1e-12 * s
+        k = rand_complex(rng, m.shape)
+        skew = k - k.conj().T
+        m = m + 1e-12 * max(1.0, np.linalg.norm(m)) * skew / np.abs(skew).max()
     resid = ptrace_first_loop(m, dy, dx)
     resid -= np.trace(resid) / dx * np.eye(dx)
     return m, np.linalg.svd(resid, compute_uv=False).sum(), max(1.0, np.linalg.norm(m))
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e8])
-@pytest.mark.parametrize("t", [0.5, 0.99, 1.01, 2.0])
+@pytest.mark.parametrize("t", [0.5, 0.99, 1.005, 1.01, 2.0])
 @pytest.mark.parametrize("dx,dy,shape", PLANTED)
 def test_membership_verdict_at_planted_residual(dx, dy, shape, t, scale):
     m, exact, s = _planted(dx, dy, shape, scale)
     tol = exact / (t * s)  # the residual sits at t * tol * s
     b = get_basis(dx, dy)
+    assert (hermiticity_defect(m) > 0) == shape.endswith("skew")
     if t <= 1:
-        assert np.array_equal(represent(b, m, membership_tol=tol).values, _gather(b, m))
+        assert np.array_equal(represent(b, m, membership_tol=tol).values, _gather(b, m)[0])
     else:
         with pytest.raises(NotInSubspaceError) as exc_info:
             represent(b, m, membership_tol=tol)
         assert exc_info.value.residual_trace_norm == pytest.approx(exact, rel=1e-12)
+
+
+def test_near_hermitian_input_is_judged_by_its_whole_residual():
+    # J - J^dag is 1.4e-10, under HERMITICITY_TOL * s = 1.414e-10.  The upper
+    # triangle reads a residual of trace norm 1.410e-8, under the tolerance
+    # 1e-8 * s = 1.414e-8; all of J gives 2c = 1.424e-8, above it.
+    c, d = 7.12e-9, 7e-11
+    m = np.array([[1.0, c - d], [c + d, 1.0]], dtype=complex)
+    with pytest.raises(NotInSubspaceError) as exc_info:
+        represent(get_basis(2, 1), m)
+    assert exc_info.value.residual_trace_norm == pytest.approx(2 * c, rel=1e-6)
 
 
 @pytest.mark.parametrize("t", [0.5, 0.99])
@@ -548,6 +587,37 @@ def test_constructed_choi_matrices_are_exactly_hermitian(dx, dy, seed):
 
 @settings(max_examples=50, deadline=None, database=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_exact_mark_equals_the_comparison(dx, dy, seed):
+    # These constructors mark the record of their output exact instead of
+    # comparing J with J^dag; the comparison must agree with the mark.
+    rng = np.random.default_rng(seed)
+    b = get_basis(dx, dy)
+    v = rng.standard_normal(len(b)) * 10.0 ** rng.uniform(-8, 8, len(b))
+    for j in (
+        combine(b, v),
+        choi_from_kraus(KrausSet(dx=dx, dy=dy, operators=rand_complex(rng, (3, dy, dx)))),
+        unitary_channel(rand_unitary(rng, dx)),
+    ):
+        marked = vars(j)["_hermitian"]
+        assert marked._exact is True
+        compared = _Hermitian(j.matrix)
+        assert (compared.exact, compared.defect) == (True, 0.0) == (marked.exact, marked.defect)
+
+
+def test_predicates_on_combine_output_make_no_comparison(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("an exactly Hermitian Choi matrix compared with its adjoint")
+
+    b = get_basis(3, 2)
+    j = combine(b, represent(b, random_channel(3, 2, 2, seed=490)))
+    monkeypatch.setattr(_Hermitian, "_compare", forbidden)
+    assert is_completely_positive(j) and is_hermiticity_preserving(j)
+    assert order_unit_pairing(j) == pytest.approx(1.0)
+    assert np.array_equal(represent(b, j).values, _gather(b, j.matrix)[0])
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_gather_reads_only_what_the_mirror_keeps(dx, dy, seed):
     # Mirroring changes entries below the diagonal and the imaginary parts
     # on it; the coefficients do not read them.
@@ -556,7 +626,8 @@ def test_gather_reads_only_what_the_mirror_keeps(dx, dy, seed):
     m = rand_hermitian(rng, n) + 1e-12 * rand_complex(rng, (n, n))
     mirrored = _mirror_upper(m.copy())
     assert np.array_equal(mirrored, mirrored.conj().T)
-    assert _gather(b, m).tobytes() == _gather(b, mirrored).tobytes()
+    for read, read_mirrored in zip(_gather(b, m), _gather(b, mirrored)):
+        assert read.tobytes() == read_mirrored.tobytes()
 
 
 @settings(max_examples=50, deadline=None, database=None)

@@ -1,17 +1,41 @@
+import collections
+import contextlib
 import gc
+import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import channelrep
-from channelrep import kron, random_channel, unitary_channel
+from channelrep import (
+    HERMITICITY_TOL,
+    hermiticity_defect,
+    is_trace_preserving,
+    kron,
+    min_eigenvalue_hermitian,
+    random_channel,
+    subspace_dimension,
+    unitary_channel,
+)
 from channelrep.cli import _build_parser, main
-from channelrep.fileio import load_matrix_file, load_vector_file, save_matrix_file, save_vector_file
+from channelrep.fileio import (
+    load_matrix_file,
+    load_vector_file,
+    matrix_file_to_choi,
+    save_matrix_file,
+    save_vector_file,
+)
+from channelrep.linalg import _Hermitian, is_positive_semidefinite
 
 from fixtures import (
     CORRELATION_2DP,
@@ -21,6 +45,7 @@ from fixtures import (
     MALFORMED_FILES,
     multiset_dev,
     rand_complex,
+    rand_hermitian,
     rand_unitary,
 )
 
@@ -447,3 +472,156 @@ def test_not_cp_correlation_warns_on_one_stderr_line(tmp_path, capsys):
         assert captured.out.startswith("cp false\n")
         assert main(["represent", str(inp), "--output", str(tmp_path / "v.json")]) == 0
         assert capsys.readouterr().err == warning
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts, while the test runs, of Hermitian records built, comparisons
+    of a matrix with its adjoint, ``eigvalsh``/``cholesky`` calls and norms
+    taken (``vdot`` for the scale, ``np.linalg.norm`` anywhere)."""
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for module, attr in ((np.linalg, "eigvalsh"), (np.linalg, "cholesky"), (np.linalg, "norm"), (np, "vdot")):
+        monkeypatch.setattr(module, attr, counting(attr, getattr(module, attr)))
+    monkeypatch.setattr(_Hermitian, "__init__", counting("record", _Hermitian.__init__))
+    monkeypatch.setattr(_Hermitian, "_compare", counting("compare", _Hermitian._compare))
+    return counts
+
+
+def _check_stdout_from_separate_analyses(j, tol=HERMITICITY_TOL):
+    """What ``check`` printed when each predicate analysed J on its own."""
+    m = j.matrix
+    trace = float(np.trace(m).real)
+    return (
+        f"cp {str(hermiticity_defect(m) <= tol and is_positive_semidefinite(m, tol)).lower()}\n"
+        f"tp {str(is_trace_preserving(j, tol)).lower()}\n"
+        f"hp {str(hermiticity_defect(m) <= tol).lower()}\n"
+        f"min_eigenvalue {min_eigenvalue_hermitian(m)!r}\n"
+        f"trace {trace!r}\npairing {trace / j.dx!r}\n"
+    )
+
+
+_U3 = np.ones(3) / np.sqrt(3)
+
+
+@pytest.mark.parametrize(
+    "kind,data,records",
+    [
+        # Not PSD, so the Cholesky refuses and the eigenvalues decide.
+        ("choi", np.diag([1.0, -1.0, 1.0, 1.0]), 1),
+        ("choi", HADAMARD_CHOI, 1),
+        # Eigenvalues -0.8, 1.9, 1.9: one record of the correlation matrix, one of J.
+        ("correlation", 1.9 * np.eye(3) - 2.7 * np.outer(_U3, _U3), 2),
+        ("correlation", CORRELATION_2DP, 2),
+    ],
+)
+def test_check_analyses_each_matrix_once(tmp_path, capsys, calls, kind, data, records):
+    d = int(np.sqrt(data.shape[0])) if kind == "choi" else data.shape[0]
+    inp = tmp_path / "m.json"
+    save_matrix_file(inp, kind, d, d, data)
+    code = main(["check", str(inp)])
+    assert code in (0, 1)
+    stdout = capsys.readouterr().out
+    assert calls["record"] == calls["compare"] == records
+    assert calls["cholesky"] <= records and calls["eigvalsh"] <= records
+    assert calls["vdot"] == 1 and calls["norm"] == 0  # ||J||_F, once
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert stdout == _check_stdout_from_separate_analyses(matrix_file_to_choi(load_matrix_file(inp)))
+
+
+def test_roundtrip_takes_the_norm_of_j_once(tmp_path, capsys, calls):
+    inp = tmp_path / "r.json"
+    save_matrix_file(inp, "choi", 3, 2, random_channel(3, 2, 6, seed=500).matrix)
+    assert main(["roundtrip", str(inp)]) == 0
+    capsys.readouterr()
+    assert calls["vdot"] == 1 and calls["norm"] == 0
+
+
+def _numeric_leaves(node, found):
+    """(container, key) of every number below ``node``, depth first."""
+    items = enumerate(node) if isinstance(node, list) else node.items() if isinstance(node, dict) else ()
+    for key, value in items:
+        if isinstance(value, (list, dict)):
+            _numeric_leaves(value, found)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            found.append((node, key))
+    return found
+
+
+def _encoded(m):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+_ODD_VALUES = ["x", True, None, [], {}, math.inf, math.nan, 10**400, -1, 0, 2.5, 1e308]
+
+
+@st.composite
+def _cli_inputs(draw):
+    """A subcommand, mostly one that reads the drawn kind of file, and the
+    text of a valid file of that kind mutated by one drawn edit (or none)."""
+    dx, dy = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["choi", "kraus", "unitary", "correlation", "vector"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "vector":
+        doc = {"dx": dx, "dy": dy, "values": rng.standard_normal(subspace_dimension(dx, dy)).tolist()}
+    elif kind == "choi":
+        rank = draw(st.integers(-(-dx // dy), dx * dy))
+        doc = {"dx": dx, "dy": dy, "data": _encoded(random_channel(dx, dy, rank, seed=int(rng.integers(2**31))).matrix)}
+    elif kind == "kraus":
+        doc = {"dx": dx, "dy": dy, "data": [_encoded(k) for k in rand_complex(rng, (2, dy, dx))]}
+    elif kind == "unitary":
+        doc = {"dx": dx, "dy": dx, "data": _encoded(rand_unitary(rng, dx))}
+    else:
+        a = rand_hermitian(rng, dx)
+        np.fill_diagonal(a, 1.0)
+        doc = {"dx": dx, "dy": dx, "data": _encoded(a)}
+    if kind != "vector":
+        doc = {"kind": kind, **doc}
+    leaves = _numeric_leaves(doc, [])
+    edit = draw(st.sampled_from(["none", "scale", "nudge", "odd value", "drop key", "dims", "kind", "truncate"]))
+    if edit == "scale":
+        factor = draw(st.sampled_from([-1.0, 1e-300, 1e8, 1e200, 1e307]))
+        for node, key in leaves:
+            node[key] *= factor
+    elif edit == "nudge":  # leaves S, or Hermiticity, or unit norm
+        node, key = draw(st.sampled_from(leaves))
+        node[key] += draw(st.sampled_from([1e-13, 1e-6, 0.5, -3.0]))
+    elif edit == "odd value":
+        node, key = draw(st.sampled_from(leaves))
+        node[key] = draw(st.sampled_from(_ODD_VALUES))
+    elif edit == "drop key":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif edit == "dims":
+        doc[draw(st.sampled_from(["dx", "dy"]))] = draw(st.sampled_from([0, 1, 2, 4, -1, True, "2", 2.5]))
+    elif edit == "kind":
+        doc["kind"] = draw(st.sampled_from(["choi", "kraus", "unitary", "correlation", "vector", 3]))
+    text = json.dumps(doc)
+    if edit == "truncate":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    fitting = ["combine"] if kind == "vector" else ["represent", "check", "roundtrip"]
+    return draw(st.sampled_from(3 * fitting + ["represent", "combine", "check", "roundtrip"])), text
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_cli_inputs())
+def test_cli_exit_codes_on_generated_input(case):
+    command, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        inp, out = os.path.join(tmp, "in.json"), os.path.join(tmp, "out.json")
+        with open(inp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = [command, inp] + (["--output", out] if command in ("represent", "combine") else [])
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) == (1 if code in (2, 3) else 0), stderr.getvalue()
