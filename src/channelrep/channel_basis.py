@@ -73,10 +73,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .choi import ChoiMatrix, _exact_choi, check_dims
-from .errors import DimensionError, DomainError, NotInSubspaceError, ValidationError
+from .errors import DimensionError, NotInSubspaceError, ValidationError
 from .linalg import (
     HERMITICITY_TOL,
     _Hermitian,
+    _check_tolerance,
     _mirror_upper,
     kron,
     partial_trace_first,
@@ -170,6 +171,9 @@ class ChannelBasis:
     dx: int
     dy: int
 
+    def __post_init__(self):
+        check_dims(self.dx, self.dy)
+
     def __len__(self) -> int:
         return subspace_dimension(self.dx, self.dy)
 
@@ -260,12 +264,11 @@ def hermitian_basis(d: int) -> HermitianBasis:
     Its elements are those of ``channel_basis(1, d)``, in the same order;
     for d = 1 the basis degenerates to the single matrix [[1]].
     """
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
+    elements = channel_basis(1, d).elements
     labels: list[tuple] = [("identity",)] + [("diagonal", k) for k in range(1, d)]
     for a, b in combinations(range(d), 2):
         labels += [("sym", a, b), ("antisym", a, b)]
-    return HermitianBasis(dim=d, elements=channel_basis(1, d).elements, labels=tuple(labels))
+    return HermitianBasis(dim=d, elements=elements, labels=tuple(labels))
 
 
 def sperp_basis(dx: int, dy: int) -> np.ndarray:
@@ -284,7 +287,6 @@ def sperp_basis(dx: int, dy: int) -> np.ndarray:
 
 def channel_basis(dx: int, dy: int) -> ChannelBasis:
     """The canonical orthonormal basis of S for dims (dx, dy)."""
-    check_dims(dx, dy)
     return ChannelBasis(dx=dx, dy=dy)
 
 
@@ -369,7 +371,7 @@ def represent(
     residual trace norm of an input outside S.
     """
     h = _coerce_choi(basis, j)
-    tol = membership_tol * _hermitian_scale(h)
+    tol = _check_tolerance(membership_tol) * _hermitian_scale(h)
     values, reduced = _gather(basis, h.m)
     # The residual R = Tr_Y J - (tr J/dx) I read from the upper triangle:
     # its diagonal, then sqrt(2) [re, im] above it, so that reduced @ reduced

@@ -12,7 +12,7 @@ import numpy as np
 
 from .choi import ChoiMatrix, KrausSet, _exact_choi, check_dims, choi_from_kraus
 from .errors import DomainError, ValidationError
-from .linalg import HERMITICITY_TOL, _Hermitian, _mirror_upper, res
+from .linalg import HERMITICITY_TOL, _Hermitian, _check_tolerance, _mirror_upper, res
 
 __all__ = [
     "NotCompletelyPositiveWarning",
@@ -61,7 +61,7 @@ def _correlation_record(a, tol: float) -> _Hermitian:
 
 def validate_correlation(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Check that ``a`` is Hermitian with unit diagonal; return it as complex."""
-    return _correlation_record(a, tol).m
+    return _correlation_record(a, _check_tolerance(tol)).m
 
 
 def schur_channel(a, cp_tol: float = HERMITICITY_TOL) -> ChoiMatrix:
@@ -75,7 +75,7 @@ def schur_channel(a, cp_tol: float = HERMITICITY_TOL) -> ChoiMatrix:
     """
     h = _correlation_record(a, HERMITICITY_TOL)
     a, d = h.m, h.m.shape[0]
-    if not h.is_psd(cp_tol):
+    if not h.is_psd(_check_tolerance(cp_tol)):
         warnings.warn(
             f"correlation matrix has min eigenvalue {h.lambda_min:.3e}; "
             "the resulting map is not completely positive",

@@ -24,6 +24,7 @@ from .errors import DimensionError, DomainError, ValidationError
 from .linalg import (
     HERMITICITY_TOL,
     _Hermitian,
+    _check_tolerance,
     _mirror_upper,
     partial_trace_first,
     res,
@@ -41,9 +42,15 @@ __all__ = [
 
 
 def check_dims(dx: int, dy: int) -> None:
-    """Raise ``DomainError`` unless both channel dimensions are positive."""
-    if dx < 1 or dy < 1:
-        raise DomainError(f"dimensions must be positive, got ({dx}, {dy})")
+    """Raise ``DomainError`` unless both channel dimensions are integers >= 1.
+
+    The one dimension rule of the package: Python or numpy integers qualify,
+    ``bool`` does not, and nothing is rounded or converted.  Constructors,
+    the basis, the file readers and the writers all apply it.
+    """
+    for d in (dx, dy):
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+            raise DomainError(f"dimensions must be positive integers, got ({dx}, {dy})")
 
 
 @dataclass(frozen=True)
@@ -155,16 +162,14 @@ def is_completely_positive(j: ChoiMatrix, tol: float = HERMITICITY_TOL) -> bool:
     (about n * eps * ||H||) of -tol.  It reads J's cached record: a J equal
     to J^dag bit for bit is its own Hermitian part and is factored directly.
     """
-    if tol < 0:
-        raise DomainError("tolerance must be >= 0")
+    _check_tolerance(tol)
     h = j._hermitian
     return h.defect <= tol and h.is_psd(tol)
 
 
 def is_trace_preserving(j: ChoiMatrix, tol: float = HERMITICITY_TOL) -> bool:
     """TP iff tracing out the output factor of the Choi matrix gives I_dx."""
-    if tol < 0:
-        raise DomainError("tolerance must be >= 0")
+    _check_tolerance(tol)
     reduced = partial_trace_first(j.matrix, j.dy, j.dx)
     reduced.flat[:: j.dx + 1] -= 1
     return bool(np.abs(reduced).max() <= tol)
@@ -172,6 +177,5 @@ def is_trace_preserving(j: ChoiMatrix, tol: float = HERMITICITY_TOL) -> bool:
 
 def is_hermiticity_preserving(j: ChoiMatrix, tol: float = HERMITICITY_TOL) -> bool:
     """HP iff the Choi matrix is Hermitian within tol."""
-    if tol < 0:
-        raise DomainError("tolerance must be >= 0")
+    _check_tolerance(tol)
     return j._hermitian.defect <= tol

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import math
 import sys
 import warnings
 
@@ -33,7 +32,7 @@ from .fileio import (
     save_matrix_file,
     save_vector_file,
 )
-from .linalg import HERMITICITY_TOL, trace_norm
+from .linalg import HERMITICITY_TOL, _check_tolerance, trace_norm
 
 __all__ = ["main", "entry_point"]
 
@@ -46,29 +45,13 @@ EXIT_NOT_IN_SUBSPACE = 3
 ROUNDTRIP_PASS_THRESHOLD = 1e-12
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 def _tolerance(text: str) -> float:
-    """argparse type for tolerance flags: a finite number >= 0."""
+    """argparse type for tolerance flags: a number that the library's
+    tolerance rule (``linalg._check_tolerance``) accepts."""
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
-    return value
-
-
-def _save(save, path, *args) -> int:
-    """Call ``save(path, *args)``; an unwritable path is an input error."""
-    try:
-        save(path, *args)
-    except OSError as exc:
-        return _fail(f"cannot write {path}: {exc.strerror or exc}", EXIT_INPUT_ERROR)
-    return EXIT_OK
+        return _check_tolerance(float(text))
+    except ValueError:  # not a number, or refused: DomainError is a ValueError
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}") from None
 
 
 def _load_choi(path):
@@ -91,8 +74,7 @@ def _load_and_represent(args):
 
 def _cmd_represent(args) -> int:
     _, j, v = _load_and_represent(args)
-    if code := _save(save_vector_file, args.output, j.dx, j.dy, v.values):
-        return code
+    save_vector_file(args.output, j.dx, j.dy, v.values)
     print(f"dim_s {len(v)}")
     print(f"c0 {float(v.values[0])!r}")
     return EXIT_OK
@@ -101,16 +83,19 @@ def _cmd_represent(args) -> int:
 def _cmd_combine(args) -> int:
     vf = load_vector_file(args.input)
     j = combine(channel_basis(vf.dx, vf.dy), vf.values)
-    return _save(save_matrix_file, args.output, "choi", vf.dx, vf.dy, j.matrix)
+    save_matrix_file(args.output, "choi", vf.dx, vf.dy, j.matrix)
+    return EXIT_OK
 
 
 def _cmd_check(args) -> int:
     j = _load_choi(args.input)
     h = j._hermitian  # the predicates below read this one record of J
-    h.scale()  # refuses a non-finite Frobenius norm, as represent does
-    cp = is_completely_positive(j, tol=args.tol)
-    tp = is_trace_preserving(j, tol=args.tol)
-    hp = is_hermiticity_preserving(j, tol=args.tol)
+    # Relative to s = max(1, ||J||_F), as in represent and roundtrip, so the
+    # verdicts do not depend on units; s refuses a non-finite norm first.
+    tol = args.tol * h.scale()
+    cp = is_completely_positive(j, tol=tol)
+    tp = is_trace_preserving(j, tol=tol)
+    hp = is_hermiticity_preserving(j, tol=tol)
     trace = float(np.trace(j.matrix).real)
     print(f"cp {str(cp).lower()}")
     print(f"tp {str(tp).lower()}")
@@ -137,15 +122,15 @@ def _cmd_basis(args) -> int:
         for label, element in zip(basis.labels, basis.elements)
     ]
     doc = {"dx": args.dx, "dy": args.dy, "dim_s": len(basis), "elements": elements}
-    if code := _save(_write_json, args.output, doc):
-        return code
+    _write_json(args.output, doc)
     print(f"dim_s {len(basis)}")
     return EXIT_OK
 
 
 def _cmd_random(args) -> int:
     j = random_channel(args.dx, args.dy, args.rank, args.seed)
-    return _save(save_matrix_file, args.output, "choi", args.dx, args.dy, j.matrix)
+    save_matrix_file(args.output, "choi", args.dx, args.dy, j.matrix)
+    return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -197,11 +182,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NotInSubspaceError as exc:
-        print(f"residual_trace_norm {exc.residual_trace_norm!r}", file=sys.stderr)
-        return _fail(str(exc), EXIT_NOT_IN_SUBSPACE)
-    except ChannelRepError as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR)
+    except ChannelRepError as exc:  # every input, read and write error
+        code = EXIT_INPUT_ERROR
+        if isinstance(exc, NotInSubspaceError):
+            print(f"residual_trace_norm {exc.residual_trace_norm!r}", file=sys.stderr)
+            code = EXIT_NOT_IN_SUBSPACE
+        print(f"error: {exc}", file=sys.stderr)
+        return code
 
 
 def entry_point() -> None:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel_basis import subspace_dimension
-from .choi import ChoiMatrix, KrausSet, choi_from_kraus
+from .choi import ChoiMatrix, KrausSet, check_dims, choi_from_kraus
 from .channels import schur_channel, unitary_channel
-from .errors import FileFormatError
+from .errors import DomainError, FileFormatError
 
 __all__ = [
     "MATRIX_KINDS",
@@ -92,13 +92,15 @@ def _decode_matrix(rows, what: str) -> np.ndarray:
 
 
 def _require_dims(doc: dict, what: str) -> tuple[int, int]:
+    """``doc``'s dx/dy under ``choi.check_dims``, as Python ints."""
     try:
         dx, dy = doc["dx"], doc["dy"]
+        check_dims(dx, dy)
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"{what}: missing dx/dy") from exc
-    if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in (dx, dy)):
-        raise FileFormatError(f"{what}: dx/dy must be positive integers")
-    return dx, dy
+    except DomainError as exc:
+        raise FileFormatError(f"{what}: dx/dy must be positive integers") from exc
+    return int(dx), int(dy)
 
 
 def _declared_shape(where: str, kind: str, dx: int, dy: int) -> tuple[int, int]:
@@ -126,25 +128,26 @@ def _check_length(where: str, dx: int, dy: int, count: int) -> None:
         )
 
 
-def _read_json(path, what: str):
-    """Parse the JSON document in ``path``.
+def _read_json(path, what: str) -> dict:
+    """Parse the JSON object in ``path``.
 
     Any failure to read it is a ``FileFormatError``: a missing file, bytes that
-    are not UTF-8 and malformed JSON (``ValueError``), or arrays nested too deep
-    for the decoder (``RecursionError``).
+    are not UTF-8 and malformed JSON (``ValueError``), arrays nested too deep
+    for the decoder (``RecursionError``), or a top level that is not an object.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         raise FileFormatError(f"cannot read {what} file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{path}: top level must be an object")
+    return doc
 
 
 def load_matrix_file(path) -> MatrixFile:
     """Parse and validate a matrix file."""
     doc = _read_json(path, "matrix")
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{path}: top level must be an object")
     kind = doc.get("kind")
     if kind not in MATRIX_KINDS:
         raise FileFormatError(f"{path}: kind must be one of {MATRIX_KINDS}, got {kind!r}")
@@ -169,20 +172,35 @@ def _write_json(path, doc) -> None:
     ``json.dumps`` encodes the whole document with the C encoder; ``json.dump``
     streams through the pure-Python one and takes about twice as long on an
     8x8 Choi file.  The text is written in one call once it is complete, so a
-    document that fails to encode leaves the file untouched.
+    document that fails to encode leaves the file untouched.  Any failure is a
+    ``FileFormatError``, as in ``_read_json``: a NaN or inf value, which is not
+    JSON and which the loaders refuse, and a path that cannot be opened for
+    writing (``OSError``).
     """
-    text = json.dumps(doc) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        text = json.dumps(doc, allow_nan=False) + "\n"
+    except ValueError:  # json's message for NaN and inf differs between versions
+        raise FileFormatError(f"cannot write {path}: non-finite values") from None
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def save_matrix_file(path, kind: str, dx: int, dy: int, data) -> None:
-    """Write a matrix file with canonical field order and full precision;
-    data that ``load_matrix_file`` would refuse raises ``FileFormatError``."""
+    """Write a matrix file with canonical field order and full precision.
+
+    What ``load_matrix_file`` would refuse raises ``FileFormatError`` and
+    writes nothing: dims that ``check_dims`` refuses (they are never rounded
+    or converted; numpy integers are written as JSON integers), a shape that
+    does not match them, and NaN or inf entries.  So does a path that cannot
+    be written.
+    """
     if kind not in MATRIX_KINDS:
         raise FileFormatError(f"kind must be one of {MATRIX_KINDS}, got {kind!r}")
     where = f"cannot write {path}"
-    dx, dy = _require_dims({"dx": int(dx), "dy": int(dy)}, where)
+    dx, dy = _require_dims({"dx": dx, "dy": dy}, where)
     shape = _declared_shape(where, kind, dx, dy)
     m = np.asarray(data)
     if kind != "kraus":
@@ -197,8 +215,6 @@ def save_matrix_file(path, kind: str, dx: int, dy: int, data) -> None:
 def load_vector_file(path) -> VectorFile:
     """Parse and validate a coefficient-vector file."""
     doc = _read_json(path, "vector")
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{path}: top level must be an object")
     dx, dy = _require_dims(doc, str(path))
     values = doc.get("values")
     if not isinstance(values, list) or not all(_is_number(v) for v in values):
@@ -214,10 +230,14 @@ def load_vector_file(path) -> VectorFile:
 
 
 def save_vector_file(path, dx: int, dy: int, values) -> None:
-    """Write a coefficient-vector file with full precision; values that
-    ``load_vector_file`` would refuse raise ``FileFormatError``."""
+    """Write a coefficient-vector file with full precision.
+
+    As for ``save_matrix_file``, what ``load_vector_file`` would refuse
+    (bad dims, a length other than dim(S), NaN or inf values) and an
+    unwritable path raise ``FileFormatError`` and write nothing.
+    """
     where = f"cannot write {path}"
-    dx, dy = _require_dims({"dx": int(dx), "dy": int(dy)}, where)
+    dx, dy = _require_dims({"dx": dx, "dy": dy}, where)
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise FileFormatError(f"{where}: values must be a list of numbers")

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, DomainError, ValidationError
 
 __all__ = [
     "HERMITICITY_TOL",
@@ -30,6 +30,15 @@ __all__ = [
 # Max-abs-entry tolerance for treating a matrix as Hermitian: well above
 # double-precision noise, well below any meaningful signal.
 HERMITICITY_TOL = 1e-10
+
+
+def _check_tolerance(tol: float) -> float:
+    """Return ``tol`` if it is a finite number >= 0; otherwise (NaN included)
+    raise ``DomainError``.  Every public tolerance, and the CLI's tolerance
+    flags, pass through here."""
+    if not 0 <= tol < math.inf:
+        raise DomainError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    return tol
 
 
 def _as_complex(a) -> np.ndarray:
@@ -228,7 +237,7 @@ def is_positive_semidefinite(m, tol: float) -> bool:
     True, and differs from it only when lambda_min(H) + tol is within
     rounding (about n * eps * ||H||) of zero.
     """
-    return _Hermitian(_square(m)).is_psd(tol)
+    return _Hermitian(_square(m)).is_psd(_check_tolerance(tol))
 
 
 def hermiticity_defect(m) -> float:
@@ -238,4 +247,4 @@ def hermiticity_defect(m) -> float:
 
 def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
     """True if m equals m^dag within ``tol`` in max-abs-entry."""
-    return hermiticity_defect(m) <= tol
+    return hermiticity_defect(m) <= _check_tolerance(tol)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from channelrep import (
+    ChannelBasis,
     ChoiMatrix,
     CoefficientVector,
     DimensionError,
@@ -161,6 +162,17 @@ def test_invalid_dims():
         channel_basis(0, 2)
     with pytest.raises(DomainError):
         sperp_basis(2, 0)
+    for dx in (True, 2.5):  # a bool is not a dimension, and a float is not rounded
+        with pytest.raises(DomainError, match="dimensions must be positive integers"):
+            channel_basis(dx, 2)
+    with pytest.raises(DomainError):
+        ChannelBasis(0, 2)
+
+
+def test_numpy_integer_dims_are_dims():
+    b = channel_basis(np.int64(2), np.int64(2))
+    assert len(b) == 13
+    assert len(represent(b, random_channel(2, 2, 1, seed=5))) == 13
 
 
 def test_represent_hadamard_multiset():

@@ -6,17 +6,22 @@ import pytest
 from channelrep import (
     ChoiMatrix,
     DimensionError,
+    DomainError,
     KrausSet,
     ValidationError,
     apply_channel,
+    channel_basis,
     choi_from_kraus,
     hermiticity_defect,
     is_completely_positive,
+    is_hermitian,
     is_hermiticity_preserving,
     is_trace_preserving,
     min_eigenvalue_hermitian,
     random_channel,
+    represent,
     unitary_channel,
+    validate_correlation,
 )
 from channelrep.channels import schur_channel
 from channelrep.linalg import is_positive_semidefinite
@@ -300,3 +305,32 @@ def test_predicates_on_entries_near_the_largest_float():
         assert not is_trace_preserving(j)
         assert is_hermiticity_preserving(j)
         assert min_eigenvalue_hermitian(j.matrix) == pytest.approx(0.0, abs=1e-12 * 1.5e308)
+
+
+# Not CP (eigenvalue -5), so an inf tolerance once made it CP and a NaN one
+# made every predicate False.
+NOT_CP = ChoiMatrix(dx=2, dy=1, matrix=np.diag([1.0, -5.0]))
+
+# Every public tolerance parameter, called on input that each accepts at 0.
+TOLERANCE_CALLS = {
+    "represent": lambda tol: represent(channel_basis(2, 1), np.eye(2), membership_tol=tol),
+    "is_completely_positive": lambda tol: is_completely_positive(NOT_CP, tol=tol),
+    "is_trace_preserving": lambda tol: is_trace_preserving(NOT_CP, tol=tol),
+    "is_hermiticity_preserving": lambda tol: is_hermiticity_preserving(NOT_CP, tol=tol),
+    "schur_channel": lambda tol: schur_channel(np.eye(2), cp_tol=tol),
+    "validate_correlation": lambda tol: validate_correlation(np.eye(2), tol=tol),
+    "is_positive_semidefinite": lambda tol: is_positive_semidefinite(np.eye(2), tol),
+    "is_hermitian": lambda tol: is_hermitian(np.eye(2), tol),
+}
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("name", TOLERANCE_CALLS)
+def test_every_tolerance_refuses_nan_inf_and_negative(name, tol):
+    with pytest.raises(DomainError, match="tolerance must be a finite number >= 0"):
+        TOLERANCE_CALLS[name](tol)
+
+
+@pytest.mark.parametrize("name", TOLERANCE_CALLS)
+def test_every_tolerance_accepts_zero(name):
+    TOLERANCE_CALLS[name](0.0)

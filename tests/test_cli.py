@@ -193,6 +193,24 @@ def test_roundtrip_verdict_does_not_depend_on_units(tmp_path, capsys, scale):
         assert float(capsys.readouterr().out) >= 0.0
 
 
+def test_check_verdicts_do_not_depend_on_units(tmp_path, capsys):
+    # The CP and HP lines of a channel and of the (not CP) transpose map,
+    # both with their output rotated by U, so Hermitian only to rounding.
+    # Absolute tolerances printed "cp false" and "hp false" for the channel
+    # at 1e8.  TP is excepted: a scaled channel is not TP.
+    rng = np.random.default_rng(13)
+    u = np.kron(rand_unitary(rng, 2), np.eye(2))
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    inp = tmp_path / "j.json"
+    for j, want in ((random_channel(2, 2, 4, seed=14).matrix, "cp true"), (swap, "cp false")):
+        lines = set()
+        for scale in (1.0, 1e4, 1e8):
+            save_matrix_file(inp, "choi", 2, 2, scale * (u @ j @ u.conj().T))
+            main(["check", str(inp)])
+            lines.add(tuple(capsys.readouterr().out.splitlines()[::2][:2]))
+        assert lines == {(want, "hp true")}
+
+
 def test_roundtrip_not_in_subspace_exit_3(tmp_path, capsys):
     j = kron(np.eye(2), np.diag([1.0, -1.0]))
     inp = tmp_path / "perp.json"

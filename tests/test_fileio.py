@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -231,6 +233,18 @@ def test_malformed_input_is_file_format_error(tmp_path, loader, case):
             '{"dx": 1, "dy": 2, "values": [0.0, 1.0, 2.0, 3.0]}\n',
             id="vector-integers",
         ),
+        pytest.param(
+            save_vector_file,
+            (np.int64(1), np.uint8(2), [0.5] * 4),
+            '{"dx": 1, "dy": 2, "values": [0.5, 0.5, 0.5, 0.5]}\n',
+            id="vector-numpy-integer-dims",
+        ),
+        pytest.param(
+            save_matrix_file,
+            ("choi", np.int32(1), np.int64(1), [[2.0]]),
+            '{"kind": "choi", "dx": 1, "dy": 1, "data": [[[2.0, 0.0]]]}\n',
+            id="matrix-numpy-integer-dims",
+        ),
     ],
 )
 def test_writers_golden_bytes(tmp_path, save, args, expected):
@@ -257,6 +271,11 @@ def test_writers_golden_bytes(tmp_path, save, args, expected):
         ),
         (save_matrix_file, ("unitary", 2, 3, np.eye(2)), "kind 'unitary' requires dx == dy"),
         (save_matrix_file, ("choi", 0, 2, np.eye(1)), "dx/dy must be positive integers"),
+        (save_matrix_file, ("choi", 1, 1, [[np.nan]]), "non-finite values"),
+        (save_matrix_file, ("kraus", 2, 2, np.full((2, 2, 2), np.inf)), "non-finite values"),
+        (save_vector_file, (1, 1, [np.nan]), "non-finite values"),
+        (save_vector_file, (1.9, 1, [1.0]), "dx/dy must be positive integers"),
+        (save_matrix_file, ("choi", True, 2.5, np.eye(2)), "dx/dy must be positive integers"),
     ],
 )
 def test_writers_refuse_what_loaders_refuse(tmp_path, save, args, message):
@@ -265,3 +284,14 @@ def test_writers_refuse_what_loaders_refuse(tmp_path, save, args, message):
         save(path, *args)
     assert str(exc_info.value) == f"cannot write {path}: {message}"
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "save, args",
+    [(save_matrix_file, ("choi", 1, 1, [[1.0]])), (save_vector_file, (1, 1, [1.0]))],
+)
+def test_writers_refuse_an_unwritable_path(tmp_path, save, args):
+    path = tmp_path / "missing" / "out.json"
+    with pytest.raises(FileFormatError) as exc_info:
+        save(path, *args)
+    assert str(exc_info.value) == f"cannot write {path}: {os.strerror(errno.ENOENT)}"
