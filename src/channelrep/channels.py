@@ -12,7 +12,7 @@ import numpy as np
 
 from .choi import ChoiMatrix, KrausSet, _exact_choi, check_dims, choi_from_kraus
 from .errors import DomainError, ValidationError
-from .linalg import HERMITICITY_TOL, _Hermitian, _check_tolerance, _mirror_upper, res
+from .linalg import HERMITICITY_TOL, _Hermitian, _check_tolerance, _mirror_upper, _square, res
 
 __all__ = [
     "NotCompletelyPositiveWarning",
@@ -32,9 +32,7 @@ def unitary_channel(u) -> ChoiMatrix:
 
     Like ``choi_from_kraus``, it equals its conjugate transpose exactly.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {u.shape}")
+    u = _square(u)
     d = u.shape[0]
     defect = np.abs(u.conj().T @ u - np.eye(d)).max()
     if defect > HERMITICITY_TOL:
@@ -45,9 +43,7 @@ def unitary_channel(u) -> ChoiMatrix:
 
 def _correlation_record(a, tol: float) -> _Hermitian:
     """The Hermitian record of ``a``, checked as ``validate_correlation`` states."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    a = _square(a)
     h = _Hermitian(a)
     if h.defect > tol:
         raise ValidationError(f"correlation matrix is not Hermitian (defect {h.defect:.3e})")

@@ -22,7 +22,7 @@ from .choi import (
     is_hermiticity_preserving,
     is_trace_preserving,
 )
-from .errors import ChannelRepError, NotInSubspaceError
+from .errors import ChannelRepError, DomainError, NotInSubspaceError
 from .fileio import (
     _encode_matrix,
     _write_json,
@@ -92,7 +92,10 @@ def _cmd_check(args) -> int:
     h = j._hermitian  # the predicates below read this one record of J
     # Relative to s = max(1, ||J||_F), as in represent and roundtrip, so the
     # verdicts do not depend on units; s refuses a non-finite norm first.
-    tol = args.tol * h.scale()
+    s = h.scale()
+    tol = args.tol * s
+    if np.isinf(tol):
+        raise DomainError(f"--tol {args.tol!r} times s = max(1, ||J||_F) = {s!r} overflows")
     cp = is_completely_positive(j, tol=tol)
     tp = is_trace_preserving(j, tol=tol)
     hp = is_hermiticity_preserving(j, tol=tol)

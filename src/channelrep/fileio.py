@@ -53,42 +53,50 @@ class VectorFile:
     values: np.ndarray
 
 
-def _is_number(x) -> bool:
-    """JSON number check; ``bool`` is an ``int`` subclass but not a number here."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _encode_matrix(m: np.ndarray) -> list:
     """Nested lists of ``[re, im]`` pairs, read off a float view of ``m``."""
     m = np.ascontiguousarray(m, dtype=complex)
     return m.view(float).reshape(m.shape + (2,)).tolist()
 
 
-def _decode_matrix(rows, what: str) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise FileFormatError(f"{what}: matrix data must be a nonempty list of rows")
-    width = None
-    out = []
-    for row in rows:
-        if not isinstance(row, list) or (width is not None and len(row) != width):
-            raise FileFormatError(f"{what}: ragged or malformed matrix rows")
-        width = len(row)
-        decoded = []
-        for entry in row:
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise FileFormatError(f"{what}: entries must be [re, im] pairs")
-            re, im = entry
-            if not _is_number(re) or not _is_number(im):
-                raise FileFormatError(f"{what}: entry components must be numbers")
-            try:
-                decoded.append(complex(re, im))
-            except OverflowError:  # an integer beyond float range, as non-finite as 1e400
-                raise FileFormatError(f"{what}: non-finite entries") from None
-        out.append(decoded)
-    m = np.array(out, dtype=complex)
-    if not np.isfinite(m).all():
-        raise FileFormatError(f"{what}: non-finite entries")
-    return m
+# What ``_decode`` reads at each depth: the field, and the layout it must have.
+_LAYOUTS = {
+    1: ("values", "a list of numbers"),
+    3: ("data", "a nonempty list of rows of [re, im] pairs"),
+    4: ("data", "a nonempty list of matrices, each a list of rows of [re, im] pairs"),
+}
+
+
+def _decode(data, where: str, depth: int) -> np.ndarray:
+    """The numbers of a parsed JSON array ``data``, nested ``depth`` levels deep.
+
+    Depth 1 is a vector file's ``values`` and gives a float array; depth 3
+    (one matrix) and depth 4 (a Kraus stack) are ``data`` of ``[re, im]``
+    pairs and give a complex array one level shallower.  One object-array
+    conversion reads the whole structure: ragged rows, entries that are not
+    pairs, empty matrices and data that is not a list come out with too few
+    levels or a last axis other than 2, and anything but a JSON number
+    (``true``, ``false``, ``null``, a string) is a leaf of the wrong type.
+    Empty ``values`` decode, and the length check refuses them.  Every
+    refusal is a ``FileFormatError``.
+    """
+    field, layout = _LAYOUTS[depth]
+    malformed = FileFormatError(f"{where}: {field} must be {layout}")
+    try:
+        a = np.array(data, dtype=object)
+    except ValueError:  # ragged lists that an older numpy will not hold as objects
+        raise malformed from None
+    if a.ndim != depth or (depth > 1 and a.shape[-1] != 2):
+        raise malformed
+    if not set(map(type, a.reshape(-1))) <= {int, float}:  # bool is not an int here
+        raise FileFormatError(f"{where}: {field} must contain only numbers")
+    try:
+        a = a.astype(float)
+    except OverflowError:  # an integer beyond float range, as non-finite as 1e400
+        raise FileFormatError(f"{where}: non-finite {field}") from None
+    if not np.isfinite(a).all():
+        raise FileFormatError(f"{where}: non-finite {field}")
+    return a if depth == 1 else a.view(complex)[..., 0]
 
 
 def _require_dims(doc: dict, what: str) -> tuple[int, int]:
@@ -115,9 +123,16 @@ def _declared_shape(where: str, kind: str, dx: int, dy: int) -> tuple[int, int]:
     return (dx, dx)
 
 
-def _check_shape(where: str, what: str, shape: tuple, declared: tuple) -> None:
-    if shape != declared:
-        raise FileFormatError(f"{where}: {what} shape {shape} != declared {declared}")
+def _check_data(where: str, kind: str, shape: tuple, m: np.ndarray) -> None:
+    """The shape rule for a ``kind`` file's data ``m``, each matrix ``shape``:
+    one matrix, or for "kraus" a nonempty stack ``(count, rows, cols)``."""
+    what, got = "matrix", m.shape
+    if kind == "kraus":
+        if m.ndim != 3 or not len(m):
+            raise FileFormatError(f"{where}: kraus data must be a nonempty list of matrices")
+        what, got = "kraus operator", m.shape[1:]
+    if got != shape:
+        raise FileFormatError(f"{where}: {what} shape {got} != declared {shape}")
 
 
 def _check_length(where: str, dx: int, dy: int, count: int) -> None:
@@ -153,16 +168,8 @@ def load_matrix_file(path) -> MatrixFile:
         raise FileFormatError(f"{path}: kind must be one of {MATRIX_KINDS}, got {kind!r}")
     dx, dy = _require_dims(doc, str(path))
     shape = _declared_shape(str(path), kind, dx, dy)
-    data = doc.get("data")
-    if kind == "kraus":
-        if not isinstance(data, list) or not data:
-            raise FileFormatError(f"{path}: kraus data must be a nonempty list of matrices")
-        mats = [_decode_matrix(m, str(path)) for m in data]
-        for m in mats:
-            _check_shape(str(path), "kraus operator", m.shape, shape)
-        return MatrixFile(kind=kind, dx=dx, dy=dy, data=np.stack(mats))
-    m = _decode_matrix(data, str(path))
-    _check_shape(str(path), "matrix", m.shape, shape)
+    m = _decode(doc.get("data"), str(path), 4 if kind == "kraus" else 3)
+    _check_data(str(path), kind, shape, m)
     return MatrixFile(kind=kind, dx=dx, dy=dy, data=m)
 
 
@@ -203,12 +210,7 @@ def save_matrix_file(path, kind: str, dx: int, dy: int, data) -> None:
     dx, dy = _require_dims({"dx": dx, "dy": dy}, where)
     shape = _declared_shape(where, kind, dx, dy)
     m = np.asarray(data)
-    if kind != "kraus":
-        _check_shape(where, "matrix", m.shape, shape)
-    elif m.ndim != 3 or not len(m):
-        raise FileFormatError(f"{where}: kraus data must be a nonempty list of matrices")
-    else:  # a Kraus stack (m, rows, cols) encodes as a list of m matrices
-        _check_shape(where, "kraus operator", m.shape[1:], shape)
+    _check_data(where, kind, shape, m)
     _write_json(path, {"kind": kind, "dx": dx, "dy": dy, "data": _encode_matrix(m)})
 
 
@@ -216,17 +218,9 @@ def load_vector_file(path) -> VectorFile:
     """Parse and validate a coefficient-vector file."""
     doc = _read_json(path, "vector")
     dx, dy = _require_dims(doc, str(path))
-    values = doc.get("values")
-    if not isinstance(values, list) or not all(_is_number(v) for v in values):
-        raise FileFormatError(f"{path}: values must be a list of numbers")
+    values = _decode(doc.get("values"), str(path), 1)
     _check_length(str(path), dx, dy, len(values))
-    try:
-        arr = np.array(values, dtype=float)
-    except OverflowError:  # an integer beyond float range, as non-finite as 1e400
-        raise FileFormatError(f"{path}: non-finite values") from None
-    if not np.isfinite(arr).all():
-        raise FileFormatError(f"{path}: non-finite values")
-    return VectorFile(dx=dx, dy=dy, values=arr)
+    return VectorFile(dx=dx, dy=dy, values=values)
 
 
 def save_vector_file(path, dx: int, dy: int, values) -> None:

@@ -81,6 +81,65 @@ MALFORMED_FILES = {
 }
 
 
+def _is_json_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _reference_matrix(rows):
+    """One matrix decoded entry by entry, or None where it is refused."""
+    if not isinstance(rows, list) or not rows:
+        return None
+    width, out = None, []
+    for row in rows:
+        if not isinstance(row, list) or (width is not None and len(row) != width):
+            return None
+        width = len(row)
+        decoded = []
+        for entry in row:
+            if not isinstance(entry, list) or len(entry) != 2 or not all(map(_is_json_number, entry)):
+                return None
+            try:
+                decoded.append(complex(*entry))
+            except OverflowError:
+                return None
+        out.append(decoded)
+    m = np.array(out, dtype=complex)
+    return m if np.isfinite(m).all() else None
+
+
+def reference_load(doc: dict):
+    """Reference decode of a parsed choi, kraus or vector document with valid dims.
+
+    The per-entry rules the loaders followed before their decode was
+    vectorised: every number checked and converted one by one, each Kraus
+    operator decoded on its own and stacked.  Returns the array that
+    ``load_matrix_file(...).data`` or ``load_vector_file(...).values`` must
+    equal bit for bit, or None where the loader must refuse the document.
+    """
+    dx, dy = doc["dx"], doc["dy"]
+    if "values" in doc:
+        values = doc["values"]
+        if not isinstance(values, list) or not all(map(_is_json_number, values)):
+            return None
+        if len(values) != dx * dx * dy * dy - dx * dx + 1:
+            return None
+        try:
+            v = np.array(values, dtype=float)
+        except OverflowError:
+            return None
+        return v if np.isfinite(v).all() else None
+    data = doc["data"]
+    if doc["kind"] == "choi":
+        m = _reference_matrix(data)
+        return m if m is not None and m.shape == (dx * dy, dx * dy) else None
+    if not isinstance(data, list) or not data:
+        return None
+    mats = [_reference_matrix(k) for k in data]
+    if any(k is None or k.shape != (dy, dx) for k in mats):
+        return None
+    return np.stack(mats)
+
+
 def schur_choi_loop(a: np.ndarray) -> np.ndarray:
     """Expected Choi matrix of y -> a .* y, built entry by entry."""
     d = a.shape[0]

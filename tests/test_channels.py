@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from channelrep import (
+    DimensionError,
     DomainError,
     NotCompletelyPositiveWarning,
     ValidationError,
@@ -55,7 +56,7 @@ def test_unitary_diagonal_phase():
 def test_unitary_rejects_non_unitary():
     with pytest.raises(ValidationError):
         unitary_channel(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(ValidationError):
+    with pytest.raises(DimensionError):
         unitary_channel(np.ones((2, 3)))
 
 

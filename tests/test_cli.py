@@ -249,6 +249,17 @@ def test_check_overflowing_norm_exit_2(tmp_path, capsys):
     assert "error: matrix has a non-finite Frobenius norm (inf)" in captured.err
 
 
+def test_check_tol_times_scale_overflow_exit_2(tmp_path, capsys):
+    # --tol 1e300 is finite, but tol * s with s = 1e10 is not: the message
+    # names the user's --tol and s, not the product.
+    inp = tmp_path / "big.json"
+    inp.write_text(json.dumps({"kind": "choi", "dx": 1, "dy": 1, "data": [[[1e10, 0]]]}))
+    assert main(["check", str(inp), "--tol", "1e300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --tol 1e+300 times s = max(1, ||J||_F) = 10000000000.0 overflows\n"
+
+
 def test_parse_failure_exit_2(tmp_path, capsys):
     inp = tmp_path / "garbage.json"
     inp.write_text("{broken")

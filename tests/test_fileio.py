@@ -1,9 +1,14 @@
+import copy
 import errno
 import json
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from channelrep import FileFormatError, choi_from_kraus, KrausSet, schur_channel, unitary_channel
 from channelrep.fileio import (
@@ -14,7 +19,7 @@ from channelrep.fileio import (
     save_vector_file,
 )
 
-from fixtures import CORRELATION_2DP, HADAMARD, MALFORMED_FILES, rand_complex
+from fixtures import CORRELATION_2DP, HADAMARD, MALFORMED_FILES, rand_complex, reference_load
 
 
 def test_choi_matrix_round_trip(tmp_path):
@@ -295,3 +300,90 @@ def test_writers_refuse_an_unwritable_path(tmp_path, save, args):
     with pytest.raises(FileFormatError) as exc_info:
         save(path, *args)
     assert str(exc_info.value) == f"cannot write {path}: {os.strerror(errno.ENOENT)}"
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 2**53 + 1, 2**64, 10**308]),
+)
+_ODD_LEAVES = st.sampled_from(
+    [10**400, -(10**400), 2**1024, math.inf, -math.inf, math.nan, True, False, None, "1", "", {}]
+)
+
+
+def _nodes(holder, key, found):
+    """(container, key) of ``holder[key]`` and of everything below it."""
+    found.append((holder, key))
+    if isinstance(holder[key], list):
+        for i in range(len(holder[key])):
+            _nodes(holder[key], i, found)
+    return found
+
+
+@st.composite
+def _documents(draw):
+    """A choi, kraus or vector document with valid dims, its data built to
+    the declared shape or to one with an axis one too short or too long,
+    then given up to two edits: odd leaves (bools, null, strings, huge
+    integers, non-finite floats), rows made shorter or longer, lists
+    replaced by a number or by [], and nodes wrapped one level deeper."""
+    kind = draw(st.sampled_from(["choi", "kraus", "vector"]))
+    dx, dy = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if kind == "vector":
+        shape = [dx * dx * dy * dy - dx * dx + 1]
+    elif kind == "choi":
+        shape = [dx * dy, dx * dy, 2]
+    else:
+        shape = [draw(st.integers(1, 3)), dy, dx, 2]
+    if draw(st.integers(0, 3)) == 0:
+        axis = draw(st.integers(0, len(shape) - 1))
+        shape[axis] = max(0, shape[axis] + draw(st.sampled_from([-1, 1])))
+
+    def build(shape):
+        return [build(shape[1:]) for _ in range(shape[0])] if shape else draw(_NUMBERS)
+
+    field = "values" if kind == "vector" else "data"
+    doc = {"dx": dx, "dy": dy, field: build(shape)}
+    if kind != "vector":
+        doc["kind"] = kind
+    for _ in range(draw(st.integers(0, 2))):
+        nodes = _nodes(doc, field, [])
+        edit = draw(st.sampled_from(["odd leaf", "number", "empty", "deeper", "shorter", "longer"]))
+        leaves = [(h, k) for h, k in nodes if not isinstance(h[k], list)]
+        holder, key = draw(st.sampled_from(leaves if edit == "odd leaf" and leaves else nodes))
+        node = holder[key]
+        if edit == "odd leaf":
+            holder[key] = draw(_ODD_LEAVES)
+        elif edit == "number":
+            holder[key] = draw(_NUMBERS)
+        elif edit == "empty":
+            holder[key] = []
+        elif edit == "deeper":
+            holder[key] = [node]
+        elif isinstance(node, list) and node and edit == "shorter":
+            node.pop()
+        elif isinstance(node, list) and node:
+            node.append(copy.deepcopy(node[-1]))
+    return kind, json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_documents())
+def test_decode_matches_the_per_entry_reference(case):
+    # The loader returns exactly the reference's array, bit for bit, or
+    # refuses with FileFormatError exactly where the reference refuses.
+    kind, text = case
+    expected = reference_load(json.loads(text))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            got = load_vector_file(path).values if kind == "vector" else load_matrix_file(path).data
+        except FileFormatError:
+            assert expected is None, text
+            return
+    assert expected is not None, text
+    assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+    assert got.tobytes() == expected.tobytes(), text
