@@ -35,10 +35,13 @@ projector family.  Every element sits on a single pair of input indices,
 so ``represent`` reads the coefficients off the Choi blocks J[y1,:,y2,:]
 (Re/Im of the blocks above the diagonal, the diagonal blocks mixed by the
 Helmert profiles) and ``combine`` writes them back; neither builds the
-O((dx*dy)^4) element stack ``ChannelBasis.elements``.  Where each coefficient
-is read or written is a fixed index pattern for given (dx, dy); each basis
-builds its O((dx*dy)^2) index tables on first use and keeps them, so a call
-is a few array operations on the flat float view of J.
+O((dx*dy)^4) element stack ``ChannelBasis.elements``.  Both work on J
+viewed as (dy, dx, dy, dx): the pair blocks are read and written whole, each
+lower one as the conjugate transpose of its upper one, and only the entries
+of the dx x dx diagonal blocks are addressed one by one.  Where those sit is
+a fixed pattern for given dx; each basis builds its O(dx^2 + dy^2) layout
+(triangle indices, sqrt(2) weights and Helmert rows) on first use and keeps
+it, so a call is a few array operations on views of J.
 
 Tolerances are relative to s = max(1, ||J||_F), so the verdicts of
 ``represent`` and ``order_unit_pairing`` do not depend on units: J is
@@ -72,13 +75,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .choi import ChoiMatrix, _exact_choi, check_dims
+from .choi import ChoiMatrix, _built, _exact_choi, _finite_read_only, check_dims
 from .errors import DimensionError, NotInSubspaceError, ValidationError
 from .linalg import (
     HERMITICITY_TOL,
     _Hermitian,
     _check_tolerance,
-    _mirror_upper,
     kron,
     partial_trace_first,
     trace_norm,
@@ -126,35 +128,23 @@ def helmert(d: int) -> np.ndarray:
     return h
 
 
-class _Tables(NamedTuple):
-    """Where each coefficient of a basis lives in the flat float view of J.
+class _Layout(NamedTuple):
+    """Where each coefficient of a basis lives in the blocks J[y1,:,y2,:].
 
-    Positions index ``J.reshape(-1).view(float)``: the real part of entry
-    (r, c) sits at 2*(r*n + c) and its imaginary part right after it.  Every
-    position is on or above the diagonal: J is Hermitian, so the entries
-    below it are the conjugates of these.
+    Indices address the float view of J reshaped to (..., dy, dx, dy, 2*dx),
+    whose entry [y1, x1, y2, 2*x2 + p] is the real (p = 0) or imaginary
+    (p = 1) part of J[y1, x1, y2, x2].  There are P = dy(dy-1)/2 pair blocks.
+    A block row lists the entries of a diagonal block that its coefficients
+    are mixed from: the real diagonal, then [re, im] of each entry above it.
     """
 
-    block: np.ndarray  # (dy, dx^2): per diagonal block, real diagonal, then [re, im] above it
-    pair: np.ndarray  # (2P,): [re, im] of the J[y1,:,y2,:] entries, y1 < y2
+    blocks: tuple  # (y1, y2) of each diagonal block, then of each pair block: dy + P each
+    pairs: tuple  # (y1, y2), y1 < y2, of each pair block: equal to the last P of blocks
+    row: np.ndarray  # (dx^2,): the block row in a diagonal block's (dx, 2*dx) floats, flattened
+    write: tuple  # (dy, 2, dx^2): per diagonal block, the block row, then each entry's mirror
     weight: np.ndarray  # (dx^2,): 1 on a block's real diagonal, sqrt2 above it
-    inv_weight: np.ndarray  # (dx^2,): 1 / weight
+    inv_weight: np.ndarray  # (2, dx^2): 1 / weight, negated on the mirrored imaginary parts
     profiles: np.ndarray  # (dy-1, dy): Helmert rows 1.., which mix the diagonal blocks
-
-
-def _float_positions(dx: int, dy: int) -> tuple[np.ndarray, np.ndarray]:
-    """(block, pair) float-view positions of J's entries, in coefficient order."""
-    n = dx * dy
-    # u[y1, y2] numbers the entries of the block J[y1,:,y2,:].
-    u = np.arange(n * n, dtype=np.intp).reshape(dy, dx, dy, dx).swapaxes(1, 2)
-    ys, (y1, y2), (a, b) = np.arange(dy), np.triu_indices(dy, 1), np.triu_indices(dx, 1)
-
-    def re_im(p):
-        return np.stack([2 * p, 2 * p + 1], axis=-1).reshape(p.shape[:-1] + (-1,))
-
-    blocks = u[ys, ys]
-    diag = 2 * np.diagonal(blocks, axis1=-2, axis2=-1)
-    return np.concatenate([diag, re_im(blocks[:, a, b])], axis=-1), re_im(u[y1, y2].reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -162,7 +152,7 @@ class ChannelBasis:
     """Ordered orthonormal basis of S for fixed (dx, dy).
 
     The basis is determined by (dx, dy) alone, so that is all it holds; its
-    ``labels``, dense ``elements`` and the index tables of
+    ``labels``, dense ``elements`` and the O(dx^2 + dy^2) block layout of
     ``represent``/``combine`` are derived on first use and then kept.
     Immutable and safe to share across threads; ``represent``/``combine``
     are pure and may run concurrently over the same basis.
@@ -202,21 +192,28 @@ class ChannelBasis:
         return stack
 
     @cached_property
-    def _tables(self) -> _Tables:
-        """Index tables of ``represent``/``combine``, built on first use.
+    def _layout(self) -> _Layout:
+        """Block layout of ``represent``/``combine``, built on first use.
 
-        (dx*dy)^2 intp positions, 8 bytes per Choi entry on 64-bit
-        platforms, plus O(dx^2 + dy^2) weights.  Native-width positions let
-        ``np.take`` and the fancy writes of ``_scatter`` use them uncast.
+        O(dx^2 + dy^2) indices and weights: nothing grows with (dx*dy)^2.
         """
-        block, pair = _float_positions(self.dx, self.dy)
-        on_diagonal = np.arange(self.dx * self.dx) < self.dx
-        return _Tables(
-            block=block,
-            pair=pair,
-            weight=np.where(on_diagonal, 1.0, SQRT2),
-            inv_weight=np.where(on_diagonal, 1.0, INV_SQRT2),
-            profiles=helmert(self.dy)[1:],
+        dx, dy = self.dx, self.dy
+        x, (a, b) = np.arange(dx), np.triu_indices(dx, 1)
+        # Entry k of a block row is part[k] (0 real, 1 imaginary) of (x1, x2) =
+        # rows[:, k]; its mirror below the diagonal is (x2, x1) = rows[::-1, k].
+        rows = np.stack([np.concatenate([x, a.repeat(2)]), np.concatenate([x, b.repeat(2)])])
+        part = np.concatenate([np.zeros(dx, dtype=np.intp), np.tile([0, 1], len(a))])
+        cols = 2 * rows[::-1] + part
+        y = np.arange(dy)[:, np.newaxis, np.newaxis]
+        weight = np.where(rows[0] == rows[1], 1.0, SQRT2)
+        return _Layout(
+            blocks=tuple(np.hstack([np.diag_indices(dy), np.triu_indices(dy, 1)])),
+            pairs=np.triu_indices(dy, 1),
+            row=2 * dx * rows[0] + cols[0],
+            write=(..., y, rows, y, cols),
+            weight=weight,
+            inv_weight=np.stack([1 / weight, np.where(part == 1, -1.0, 1.0) / weight]),
+            profiles=helmert(dy)[1:],
         )
 
 
@@ -236,10 +233,8 @@ class CoefficientVector:
                 f"coefficient vector for dims ({self.dx}, {self.dy}) must have "
                 f"length {expected}, got shape {vals.shape}"
             )
-        if not np.isfinite(vals).all():
-            raise ValidationError("coefficient vector contains non-finite entries")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        message = "coefficient vector contains non-finite entries"
+        object.__setattr__(self, "values", _finite_read_only(vals, message))
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -294,39 +289,46 @@ def _gather(basis: ChannelBasis, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """Coefficients (..., dim S) of Choi matrices (..., n, n), read from their blocks.
 
     For Hermitian input these are the overlaps <E_k, J> with the basis
-    elements; entries below the diagonal are not read.  Also returns the
+    elements; entries below the diagonal do not enter them.  Also returns the
     upper triangle of Tr_Y J (..., dx^2) in the layout of a block row: the
     real diagonal, then sqrt(2) times [re, im] of each entry above it.  It
     is the sum over y of the weighted diagonal blocks the coefficients are
     mixed from, so both come from one read.
     """
-    t, batch, dx, dy = basis._tables, m.shape[:-2], basis.dx, basis.dy
+    t, batch, dx, dy = basis._layout, m.shape[:-2], basis.dx, basis.dy
     m = np.ascontiguousarray(m)
-    f = m.reshape(batch + (-1,)).view(float)
-    rows = f.take(t.block, axis=-1) * t.weight  # (..., dy, dx^2)
+    f = m.view(float).reshape(batch + (dy, dx, dy, 2 * dx))
+    y1, y2 = t.blocks
+    blocks = f.swapaxes(-3, -2)[..., y1, y2, :, :].reshape(batch + (len(y1), -1))
+    rows = blocks[..., :dy, :].take(t.row, axis=-1) * t.weight  # (..., dy, dx^2)
     split = 1 + (dy - 1) * dx * dx
     values = np.empty(batch + (len(basis),))
     values[..., 0] = m.trace(axis1=-2, axis2=-1).real / math.sqrt(dx * dy)
-    values[..., 1:split] = (t.profiles @ rows).reshape(batch + (-1,))
-    np.multiply(f.take(t.pair, axis=-1), SQRT2, out=values[..., split:])
+    np.matmul(t.profiles, rows, out=values[..., 1:split].reshape(batch + (dy - 1, dx * dx)))
+    np.multiply(blocks[..., dy:, :].reshape(batch + (-1,)), SQRT2, out=values[..., split:])
     return values, rows.sum(axis=-2)
 
 
 def _scatter(basis: ChannelBasis, values: np.ndarray) -> np.ndarray:
     """Inverse of ``_gather``: Choi matrices (..., n, n) from coefficients (..., dim S).
 
-    The coefficients are written on and above the diagonal, then mirrored,
-    so each output equals its conjugate transpose exactly.
+    Each diagonal block is written with its conjugates below its diagonal,
+    and each pair block above the diagonal with its conjugate transpose as
+    the block below, so each output equals its conjugate transpose exactly.
     """
-    t, batch, dx, dy = basis._tables, values.shape[:-1], basis.dx, basis.dy
+    t, batch, dx, dy = basis._layout, values.shape[:-1], basis.dx, basis.dy
     n, split = dx * dy, 1 + (dy - 1) * dx * dx
     coords = t.profiles.T @ values[..., 1:split].reshape(batch + (dy - 1, dx * dx))
-    coords *= t.inv_weight
-    f = np.zeros(batch + (2 * n * n,))
-    f[..., t.block] = coords
-    f[..., t.pair] = values[..., split:] * INV_SQRT2
-    f[..., :: 2 * (n + 1)] += values[..., :1] / math.sqrt(n)  # real parts of the diagonal
-    return _mirror_upper(f.view(complex).reshape(batch + (n, n)))
+    coords[..., :dx] += values[..., :1, np.newaxis] / math.sqrt(n)  # the identity element
+    m = np.zeros(batch + (n, n), dtype=complex)
+    f = m.view(float).reshape(batch + (dy, dx, dy, 2 * dx))
+    f[t.write] = coords[..., np.newaxis, :] * t.inv_weight
+    blocks = m.reshape(batch + (dy, dx, dy, dx)).swapaxes(-3, -2)
+    upper = (values[..., split:] * INV_SQRT2).view(complex).reshape(batch + (-1, dx, dx))
+    y1, y2 = t.pairs
+    blocks[..., y1, y2, :, :] = upper
+    blocks[..., y2, y1, :, :] = upper.conj().swapaxes(-1, -2)
+    return m
 
 
 def _check_basis_dims(basis: ChannelBasis, what: str, dx: int, dy: int) -> None:
@@ -388,7 +390,9 @@ def represent(
         resid_norm = trace_norm(resid)
         if resid_norm > tol:
             raise NotInSubspaceError(resid_norm)
-    return CoefficientVector(dx=basis.dx, dy=basis.dy, values=values)
+    # Finite unchecked: s refused a non-finite ||J||_F, and each is at most sqrt(2) ||J||_F.
+    values.setflags(write=False)
+    return _built(CoefficientVector, dx=basis.dx, dy=basis.dy, values=values)
 
 
 def combine(basis: ChannelBasis, v) -> ChoiMatrix:
@@ -410,9 +414,8 @@ def combine(basis: ChannelBasis, v) -> ChoiMatrix:
             raise DimensionError(
                 f"expected {len(basis)} coefficients, got shape {values.shape}"
             )
-    with np.errstate(over="ignore", invalid="ignore"):  # ChoiMatrix refuses the result
-        m = _scatter(basis, values)
-    return _exact_choi(basis.dx, basis.dy, m)
+    with np.errstate(over="ignore", invalid="ignore"):  # _exact_choi refuses the result
+        return _exact_choi(basis.dx, basis.dy, _scatter(basis, values))
 
 
 def order_unit_pairing(j: ChoiMatrix) -> float:

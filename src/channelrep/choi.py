@@ -77,23 +77,41 @@ class ChoiMatrix:
                 f"Choi matrix for dims ({self.dx}, {self.dy}) must be "
                 f"{side}x{side}, got {m.shape}"
             )
-        if not np.isfinite(m.view(float)).all():
-            raise ValidationError("Choi matrix contains non-finite entries")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _finite_read_only(m))
 
     @cached_property
     def _hermitian(self) -> _Hermitian:
         return _Hermitian(self.matrix)
 
 
+def _finite_read_only(a: np.ndarray, message="Choi matrix contains non-finite entries"):
+    """``a``, a C-ordered array no one else holds, made read-only once all its
+    entries are finite; ``ValidationError(message)`` otherwise.  The one
+    finiteness rule of the arrays that value objects hold."""
+    if not np.isfinite(a.view(float)).all():
+        raise ValidationError(message)
+    a.setflags(write=False)
+    return a
+
+
+def _built(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given.
+
+    Skips ``__post_init__``, so nothing is copied or checked again: only
+    for arrays the package has just built, of the right shape and dtype.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _exact_choi(dx: int, dy: int, m: np.ndarray) -> ChoiMatrix:
-    """ChoiMatrix of ``m``, which the package built exactly Hermitian by
-    mirroring its upper triangle; its record is marked exact instead of
-    comparing J with J^dag."""
-    j = ChoiMatrix(dx=dx, dy=dy, matrix=m)
-    object.__setattr__(j, "_hermitian", _Hermitian(j.matrix, exact=True))
-    return j
+    """ChoiMatrix wrapping ``m`` without a copy; the package built ``m``
+    (C-ordered, side dx*dy) exactly Hermitian, so its record is marked exact
+    instead of comparing J with J^dag.  The one place that refuses a
+    package-built matrix with non-finite entries."""
+    m = _finite_read_only(m)
+    return _built(ChoiMatrix, dx=dx, dy=dy, matrix=m, _hermitian=_Hermitian(m, exact=True))
 
 
 @dataclass(frozen=True)
@@ -119,11 +137,8 @@ class KrausSet:
                 f"every Kraus operator must be {self.dy}x{self.dx}, "
                 f"got shape {ops.shape[1:]}"
             )
-        if not np.isfinite(ops).all():
-            raise ValidationError("Kraus operators contain non-finite entries")
-        ops = ops.copy()
-        ops.setflags(write=False)
-        object.__setattr__(self, "operators", ops)
+        message = "Kraus operators contain non-finite entries"
+        object.__setattr__(self, "operators", _finite_read_only(ops.copy(), message))
 
     def __len__(self) -> int:
         return self.operators.shape[0]
@@ -138,7 +153,8 @@ def choi_from_kraus(k: KrausSet) -> ChoiMatrix:
     exactly, not only to rounding.
     """
     vecs = np.stack([res(op) for op in k.operators])
-    return _exact_choi(k.dx, k.dy, _mirror_upper(vecs.T @ vecs.conj()))
+    with np.errstate(over="ignore", invalid="ignore"):  # _exact_choi refuses the result
+        return _exact_choi(k.dx, k.dy, _mirror_upper(vecs.T @ vecs.conj()))
 
 
 def apply_channel(j: ChoiMatrix, x) -> np.ndarray:

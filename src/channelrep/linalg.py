@@ -8,7 +8,6 @@ output (Y) factor first.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -110,13 +109,6 @@ def _square(m) -> np.ndarray:
     return m
 
 
-@lru_cache(maxsize=16)
-def _strictly_lower(n: int) -> np.ndarray:
-    mask = np.tri(n, k=-1, dtype=bool)
-    mask.setflags(write=False)
-    return mask
-
-
 def _mirror_upper(m: np.ndarray) -> np.ndarray:
     """Make the C-contiguous (..., n, n) array ``m`` exactly Hermitian in place.
 
@@ -125,7 +117,7 @@ def _mirror_upper(m: np.ndarray) -> np.ndarray:
     package builds: input data is judged as given, never coerced.
     """
     n = m.shape[-1]
-    np.copyto(m, m.swapaxes(-1, -2).conj(), where=_strictly_lower(n))
+    np.copyto(m, m.swapaxes(-1, -2).conj(), where=np.tri(n, k=-1, dtype=bool))
     m.reshape(m.shape[:-2] + (n * n,))[..., :: n + 1].imag = 0
     return m
 

@@ -5,6 +5,8 @@ from functools import lru_cache
 import numpy as np
 
 from channelrep import channel_basis
+from channelrep.channel_basis import helmert
+from channelrep.linalg import _mirror_upper
 
 SQRT2 = np.sqrt(2.0)
 
@@ -274,6 +276,61 @@ def dense_combine(dx: int, dy: int, v) -> np.ndarray:
     """Reference reassembly: sum_k v[k] * element_k over the dense elements."""
     stack = np.stack(list(dense_channel_basis(dx, dy).values()))
     return np.tensordot(np.asarray(v, dtype=float), stack, axes=1)
+
+
+@lru_cache(maxsize=None)
+def _reference_tables(dx: int, dy: int):
+    """Index tables of the flat float view of J, one position per entry.
+
+    ``block`` (dy, dx^2) holds, per diagonal block J[y,:,y,:], the real
+    diagonal, then [re, im] of each entry above it; ``pair`` the [re, im] of
+    the entries of each block J[y1,:,y2,:], y1 < y2, in coefficient order.
+    Real part of entry (r, c) at 2*(r*n + c), its imaginary part right after.
+    """
+    n = dx * dy
+    u = np.arange(n * n, dtype=np.intp).reshape(dy, dx, dy, dx).swapaxes(1, 2)
+    ys, (y1, y2), (a, b) = np.arange(dy), np.triu_indices(dy, 1), np.triu_indices(dx, 1)
+
+    def re_im(p):
+        return np.stack([2 * p, 2 * p + 1], axis=-1).reshape(p.shape[:-1] + (-1,))
+
+    blocks = u[ys, ys]
+    diag = 2 * np.diagonal(blocks, axis1=-2, axis2=-1)
+    block = np.concatenate([diag, re_im(blocks[:, a, b])], axis=-1)
+    on_diagonal = np.arange(dx * dx) < dx
+    weight = np.where(on_diagonal, 1.0, SQRT2)
+    return block, re_im(u[y1, y2].reshape(-1)), weight, 1.0 / weight, helmert(dy)[1:]
+
+
+def reference_gather(basis, m):
+    """The block read of ``represent`` through per-entry index tables: the
+    coefficients and the weighted upper triangle of Tr_Y J."""
+    block, pair, weight, _, profiles = _reference_tables(basis.dx, basis.dy)
+    batch, dx, dy = m.shape[:-2], basis.dx, basis.dy
+    m = np.ascontiguousarray(m)
+    f = m.reshape(batch + (-1,)).view(float)
+    rows = f.take(block, axis=-1) * weight
+    split = 1 + (dy - 1) * dx * dx
+    values = np.empty(batch + (len(basis),))
+    values[..., 0] = m.trace(axis1=-2, axis2=-1).real / np.sqrt(dx * dy)
+    values[..., 1:split] = (profiles @ rows).reshape(batch + (-1,))
+    np.multiply(f.take(pair, axis=-1), SQRT2, out=values[..., split:])
+    return values, rows.sum(axis=-2)
+
+
+def reference_scatter(basis, values):
+    """The block write of ``combine`` through per-entry index tables: the
+    entries on and above the diagonal, then a mirror of the whole matrix."""
+    block, pair, _, inv_weight, profiles = _reference_tables(basis.dx, basis.dy)
+    batch, dx, dy = values.shape[:-1], basis.dx, basis.dy
+    n, split = dx * dy, 1 + (dy - 1) * dx * dx
+    coords = profiles.T @ values[..., 1:split].reshape(batch + (dy - 1, dx * dx))
+    coords *= inv_weight
+    f = np.zeros(batch + (2 * n * n,))
+    f[..., block] = coords
+    f[..., pair] = values[..., split:] * (1.0 / SQRT2)
+    f[..., :: 2 * (n + 1)] += values[..., :1] / np.sqrt(n)
+    return _mirror_upper(f.view(complex).reshape(batch + (n, n)))
 
 
 def multiset_dev(got, expected) -> float:

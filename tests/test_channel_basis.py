@@ -52,6 +52,8 @@ from fixtures import (
     rand_complex,
     rand_hermitian,
     rand_unitary,
+    reference_gather,
+    reference_scatter,
 )
 
 # Shapes for comparisons against the dense reference: (d, d), (d, d+1),
@@ -445,16 +447,25 @@ def test_channel_basis_holds_only_its_dims(d):
     assert vars(b) == {"dx": d, "dy": d}
 
 
-def test_index_tables_built_once_per_basis():
+def test_block_layout_built_once_per_basis():
     b = channel_basis(3, 2)
     j = random_channel(3, 2, 2, seed=470)
-    assert "_tables" not in b.__dict__
+    assert "_layout" not in vars(b)
     v = represent(b, j)
-    tables = b.__dict__["_tables"]
+    layout = vars(b)["_layout"]
     combine(b, represent(b, j))
-    assert b.__dict__["_tables"] is tables
-    assert "_tables" not in channel_basis(3, 2).__dict__  # held by the basis, not shared
+    assert vars(b)["_layout"] is layout
+    assert "_layout" not in vars(channel_basis(3, 2))  # held by the basis, not shared
     assert np.array_equal(represent(channel_basis(3, 2), j).values, v.values)
+
+
+def _arrays(x) -> list:
+    """The numpy arrays in ``x``, looking inside tuples (a NamedTuple included)."""
+    if isinstance(x, np.ndarray):
+        return [x]
+    if isinstance(x, tuple):
+        return [a for item in x for a in _arrays(item)]
+    return []
 
 
 @st.composite
@@ -654,13 +665,66 @@ def test_coefficients_keep_the_frobenius_norm(j, seed):
 
 
 @settings(max_examples=16, deadline=None, database=None)
-@given(st.integers(1, 4), st.integers(1, 4))
-def test_index_tables_hold_one_position_per_choi_entry(dx, dy):
-    # One 8-byte position per entry of J, plus the weights and the Helmert rows.
-    n = dx * dy
+@given(st.integers(1, 8), st.integers(1, 8))
+def test_block_layout_bytes_grow_with_dx2_plus_dy2(dx, dy):
+    # Indices and weights per block row and per block: none per Choi entry.
     b = channel_basis(dx, dy)
-    size = sum(a.nbytes for a in b._tables)
-    assert size <= 8 * n * n + 8 * (2 * dx * dx + dy * dy)
+    size = sum(a.nbytes for a in _arrays(b._layout))
+    assert 0 < size <= 8 * (8 * dx * dx + 8 * dy * dy)
+
+
+def test_no_basis_array_grows_with_the_choi_matrix():
+    d = 32
+    b = channel_basis(d, d)
+    j = combine(b, represent(b, random_channel(d, d, 1, seed=480)))
+    assert "_layout" in vars(b)
+    assert all(a.size < j.matrix.size for a in _arrays(tuple(vars(b).values())))
+
+
+@st.composite
+def _block_inputs(draw):
+    """A basis with dx, dy <= 6, a batch shape, and matrices of that batch:
+    random channels or non-Hermitian complex matrices."""
+    dx, dy = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    batch = draw(st.sampled_from([(), (2,), (7,), (2, 3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = dx * dy
+    if draw(st.booleans()):
+        ranks = rng.integers(-(-dx // dy), n + 1, size=batch)
+        seeds = rng.integers(2**31, size=batch)
+        m = np.array([random_channel(dx, dy, int(r), int(s)).matrix
+                      for r, s in zip(ranks.reshape(-1), seeds.reshape(-1))])
+        m = m.reshape(batch + (n, n))
+    else:
+        m = rand_complex(rng, batch + (n, n))
+    return get_basis(dx, dy), m, rng
+
+
+def _assert_same_bytes(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_block_inputs())
+def test_block_read_and_write_equal_the_table_reference(inputs):
+    b, m, rng = inputs
+    for got, want in zip(_gather(b, m), reference_gather(b, m)):
+        _assert_same_bytes(got, want)
+    shape = m.shape[:-2] + (len(b),)
+    v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    _assert_same_bytes(_scatter(b, v), reference_scatter(b, v))
+
+
+@pytest.mark.parametrize("d", [16, 32])
+def test_block_read_and_write_equal_the_table_reference_at_scale(d):
+    rng = np.random.default_rng(d)
+    b, n = channel_basis(d, d), d * d
+    for m in (random_channel(d, d, 2, seed=d).matrix, rand_complex(rng, (n, n))):
+        for got, want in zip(_gather(b, m), reference_gather(b, m)):
+            _assert_same_bytes(got, want)
+    v = rng.standard_normal(len(b))
+    _assert_same_bytes(_scatter(b, v), reference_scatter(b, v))
 
 
 def test_pairing_rejects_overflowing_norm_before_hermiticity():

@@ -192,6 +192,16 @@ def test_choi_matrix_rejects_non_finite():
         ChoiMatrix(dx=2, dy=2, matrix=m)
 
 
+def test_kraus_product_overflow_is_refused_without_a_warning():
+    # Finite operators whose products overflow: the built matrix is refused
+    # once, by the same rule as any other, and no RuntimeWarning escapes.
+    k = KrausSet(1, 1, [[[1e200]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="non-finite"):
+            choi_from_kraus(k)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
 def test_non_finite_input_raises_validation_error(bad):
     m = np.eye(4, dtype=complex)
