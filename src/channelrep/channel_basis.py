@@ -47,19 +47,16 @@ Tolerances are relative to s = max(1, ||J||_F), so the verdicts of
 ``represent`` and ``order_unit_pairing`` do not depend on units: J is
 rejected as non-Hermitian when its max-abs defect exceeds
 HERMITICITY_TOL * s, and by ``represent`` as outside S when the trace norm
-of its projection onto the complement, ||Tr_Y J - (tr J/dx) I||_1, exceeds
-membership_tol * s.  Since that residual R is dx x dx, the bound
-sqrt(dx) ||R||_F >= ||R||_1 accepts first.  It costs no extra pass over J:
-the diagonal blocks that the coefficients are mixed from also sum to the
-upper triangle of Tr_Y J, so R comes out of the same read.  On a J that is
-Hermitian only within HERMITICITY_TOL, the R of all of J differs from that
-read by at most dy * defect per entry, so dx * dy * defect is added to
-||R||_F.  Only when the bound does not accept is Tr_Y J formed from all of
-J and its exact trace norm computed; that decides, and a rejection reports
-it.  A J whose norm is not finite (NaN or inf entries, or entries so large
-that ||J||_F overflows) is rejected before either check.  The defect, s and
-the eigenvalues come from J's Hermitian record (``linalg._Hermitian``),
-which a ``ChoiMatrix`` keeps, so they are computed once per matrix.
+of its projection onto the complement, the dx x dx residual
+R = Tr_Y J - (tr J/dx) I, exceeds membership_tol * s.  Tr_Y J is the sum of
+the whole diagonal blocks that the coefficients are mixed from, so R comes
+out of the same read of J.  The bound ||R||_1 <= sqrt(dx) ||R||_F accepts
+without a decomposition; only when it does not is the exact trace norm of
+the same R computed, which decides and is reported on rejection.  A J whose
+norm is not finite (NaN or inf entries, or entries so large that ||J||_F
+overflows) is rejected before either check.  The defect, s and the
+eigenvalues come from J's Hermitian record (``linalg._Hermitian``), which a
+``ChoiMatrix`` keeps, so they are computed once per matrix.
 
 The first coefficient of any CP+TP Choi matrix equals sqrt(dx/dy), and the
 pairing <I/dx, J> (``order_unit_pairing``) equals 1 exactly on channels.
@@ -82,7 +79,6 @@ from .linalg import (
     _Hermitian,
     _check_tolerance,
     kron,
-    partial_trace_first,
     trace_norm,
 )
 
@@ -138,8 +134,7 @@ class _Layout(NamedTuple):
     are mixed from: the real diagonal, then [re, im] of each entry above it.
     """
 
-    blocks: tuple  # (y1, y2) of each diagonal block, then of each pair block: dy + P each
-    pairs: tuple  # (y1, y2), y1 < y2, of each pair block: equal to the last P of blocks
+    blocks: tuple  # (y1, y2) of each diagonal block, then of each pair block (y1 < y2): dy + P each
     row: np.ndarray  # (dx^2,): the block row in a diagonal block's (dx, 2*dx) floats, flattened
     write: tuple  # (dy, 2, dx^2): per diagonal block, the block row, then each entry's mirror
     weight: np.ndarray  # (dx^2,): 1 on a block's real diagonal, sqrt2 above it
@@ -208,7 +203,6 @@ class ChannelBasis:
         weight = np.where(rows[0] == rows[1], 1.0, SQRT2)
         return _Layout(
             blocks=tuple(np.hstack([np.diag_indices(dy), np.triu_indices(dy, 1)])),
-            pairs=np.triu_indices(dy, 1),
             row=2 * dx * rows[0] + cols[0],
             write=(..., y, rows, y, cols),
             weight=weight,
@@ -286,14 +280,14 @@ def channel_basis(dx: int, dy: int) -> ChannelBasis:
 
 
 def _gather(basis: ChannelBasis, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (..., dim S) of Choi matrices (..., n, n), read from their blocks.
+    """Coefficients (..., dim S) and Tr_Y J of Choi matrices (..., n, n), both
+    from one read of their blocks.
 
-    For Hermitian input these are the overlaps <E_k, J> with the basis
-    elements; entries below the diagonal do not enter them.  Also returns the
-    upper triangle of Tr_Y J (..., dx^2) in the layout of a block row: the
-    real diagonal, then sqrt(2) times [re, im] of each entry above it.  It
-    is the sum over y of the weighted diagonal blocks the coefficients are
-    mixed from, so both come from one read.
+    For Hermitian input the coefficients are the overlaps <E_k, J> with the
+    basis elements; entries below the diagonal do not enter them.  Tr_Y J is
+    the sum over y of the whole diagonal blocks J[y,:,y,:], both triangles;
+    it is returned as floats (..., 2 dx^2), the [re, im] of its entries in
+    row-major order, which ``.view(complex)`` makes the dx x dx matrix.
     """
     t, batch, dx, dy = basis._layout, m.shape[:-2], basis.dx, basis.dy
     m = np.ascontiguousarray(m)
@@ -306,7 +300,7 @@ def _gather(basis: ChannelBasis, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     values[..., 0] = m.trace(axis1=-2, axis2=-1).real / math.sqrt(dx * dy)
     np.matmul(t.profiles, rows, out=values[..., 1:split].reshape(batch + (dy - 1, dx * dx)))
     np.multiply(blocks[..., dy:, :].reshape(batch + (-1,)), SQRT2, out=values[..., split:])
-    return values, rows.sum(axis=-2)
+    return values, blocks[..., :dy, :].sum(axis=-2)
 
 
 def _scatter(basis: ChannelBasis, values: np.ndarray) -> np.ndarray:
@@ -325,7 +319,7 @@ def _scatter(basis: ChannelBasis, values: np.ndarray) -> np.ndarray:
     f[t.write] = coords[..., np.newaxis, :] * t.inv_weight
     blocks = m.reshape(batch + (dy, dx, dy, dx)).swapaxes(-3, -2)
     upper = (values[..., split:] * INV_SQRT2).view(complex).reshape(batch + (-1, dx, dx))
-    y1, y2 = t.pairs
+    y1, y2 = (y[dy:] for y in t.blocks)
     blocks[..., y1, y2, :, :] = upper
     blocks[..., y2, y1, :, :] = upper.conj().swapaxes(-1, -2)
     return m
@@ -374,20 +368,15 @@ def represent(
     """
     h = _coerce_choi(basis, j)
     tol = _check_tolerance(membership_tol) * _hermitian_scale(h)
-    values, reduced = _gather(basis, h.m)
-    # The residual R = Tr_Y J - (tr J/dx) I read from the upper triangle:
-    # its diagonal, then sqrt(2) [re, im] above it, so that reduced @ reduced
-    # is ||R||_F^2.  The R of all of J differs from it by at most dy * defect
-    # per entry, so by dx * dy * defect in Frobenius norm.  ||R||_1 <=
-    # sqrt(dx) ||R||_F accepts without a decomposition; only the exact trace
-    # norm rejects.
-    diag = reduced[: basis.dx]
+    values, resid = _gather(basis, h.m)
+    # R = Tr_Y J - (tr J/dx) I, formed once in the floats of Tr_Y J; the
+    # complex trace is divided by dx.  ||R||_1 <= sqrt(dx) ||R||_F accepts
+    # without a decomposition; only the exact trace norm of R rejects.
+    r = resid.view(complex)
+    diag = r[:: basis.dx + 1]
     diag -= diag.sum() / basis.dx
-    frobenius = math.sqrt(reduced @ reduced) + basis.dx * basis.dy * h.defect
-    if math.sqrt(basis.dx) * frobenius > tol:
-        resid = partial_trace_first(h.m, basis.dy, basis.dx)
-        resid.flat[:: basis.dx + 1] -= np.trace(resid) / basis.dx
-        resid_norm = trace_norm(resid)
+    if math.sqrt(basis.dx * (resid @ resid)) > tol:
+        resid_norm = trace_norm(r.reshape(basis.dx, basis.dx))
         if resid_norm > tol:
             raise NotInSubspaceError(resid_norm)
     # Finite unchecked: s refused a non-finite ||J||_F, and each is at most sqrt(2) ||J||_F.
@@ -401,21 +390,16 @@ def combine(basis: ChannelBasis, v) -> ChoiMatrix:
     Exact linear combination, no projection; inverse of ``represent`` on S.
     The coefficients are written straight into the Choi blocks, so the
     element stack is never built.  The result is exactly Hermitian by
-    construction, and its record says so without comparing.  Finite
+    construction, and its record says so without comparing.  A bare array
+    is checked as a ``CoefficientVector`` of the basis dims.  Finite
     coefficients so large that the Helmert profiles overflow when mixing
     them raise ``ValidationError``.
     """
-    if isinstance(v, CoefficientVector):
-        _check_basis_dims(basis, "vector", v.dx, v.dy)
-        values = v.values
-    else:
-        values = np.asarray(v, dtype=float)
-        if values.shape != (len(basis),):
-            raise DimensionError(
-                f"expected {len(basis)} coefficients, got shape {values.shape}"
-            )
+    if not isinstance(v, CoefficientVector):
+        v = CoefficientVector(dx=basis.dx, dy=basis.dy, values=v)
+    _check_basis_dims(basis, "vector", v.dx, v.dy)
     with np.errstate(over="ignore", invalid="ignore"):  # _exact_choi refuses the result
-        return _exact_choi(basis.dx, basis.dy, _scatter(basis, values))
+        return _exact_choi(basis.dx, basis.dy, _scatter(basis, v.values))
 
 
 def order_unit_pairing(j: ChoiMatrix) -> float:

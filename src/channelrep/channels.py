@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 
-from .choi import ChoiMatrix, KrausSet, _exact_choi, check_dims, choi_from_kraus
+from .choi import ChoiMatrix, KrausSet, _exact_choi, _is_integer, check_dims, choi_from_kraus
 from .errors import DomainError, ValidationError
 from .linalg import HERMITICITY_TOL, _Hermitian, _check_tolerance, _mirror_upper, _square, res
 
@@ -34,6 +34,7 @@ def unitary_channel(u) -> ChoiMatrix:
     """
     u = _square(u)
     d = u.shape[0]
+    check_dims(d, d)
     defect = np.abs(u.conj().T @ u - np.eye(d)).max()
     if defect > HERMITICITY_TOL:
         raise ValidationError(f"matrix is not unitary (max |u^dag u - I| = {defect:.3e})")
@@ -44,6 +45,7 @@ def unitary_channel(u) -> ChoiMatrix:
 def _correlation_record(a, tol: float) -> _Hermitian:
     """The Hermitian record of ``a``, checked as ``validate_correlation`` states."""
     a = _square(a)
+    check_dims(*a.shape)
     h = _Hermitian(a)
     if h.defect > tol:
         raise ValidationError(f"correlation matrix is not Hermitian (defect {h.defect:.3e})")
@@ -91,13 +93,17 @@ def random_channel(dx: int, dy: int, kraus_rank: int, seed: int) -> ChoiMatrix:
     orthonormalizes its columns into an isometry (QR with the R diagonal
     phase-fixed to be real positive, for determinism), slices it into
     kraus_rank blocks of shape dy x dx and returns their Choi matrix.
-    The isometry condition forces trace preservation.
+    The isometry condition forces trace preservation.  ``kraus_rank`` and
+    ``seed`` are integers under the rule of ``check_dims``, and ``seed >= 0``.
     """
     check_dims(dx, dy)
-    if not 1 <= kraus_rank <= dx * dy:
+    if not _is_integer(kraus_rank) or not 1 <= kraus_rank <= dx * dy:
         raise DomainError(
-            f"kraus_rank must be in [1, {dx * dy}] for dims ({dx}, {dy}), got {kraus_rank}"
+            f"kraus_rank must be an integer in [1, {dx * dy}] for dims ({dx}, {dy}), "
+            f"got {kraus_rank!r}"
         )
+    if not _is_integer(seed) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     if kraus_rank * dy < dx:
         raise DomainError(
             f"kraus_rank {kraus_rank} is too small: a trace-preserving map needs "

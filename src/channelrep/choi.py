@@ -41,15 +41,20 @@ __all__ = [
 ]
 
 
+def _is_integer(v) -> bool:
+    """The package's integer rule: Python or numpy integers qualify, ``bool``
+    does not, and nothing is rounded or converted."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def check_dims(dx: int, dy: int) -> None:
     """Raise ``DomainError`` unless both channel dimensions are integers >= 1.
 
-    The one dimension rule of the package: Python or numpy integers qualify,
-    ``bool`` does not, and nothing is rounded or converted.  Constructors,
-    the basis, the file readers and the writers all apply it.
+    The one dimension rule of the package, under ``_is_integer``.
+    Constructors, the basis, the file readers and the writers all apply it.
     """
     for d in (dx, dy):
-        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        if not _is_integer(d) or d < 1:
             raise DomainError(f"dimensions must be positive integers, got ({dx}, {dy})")
 
 

@@ -216,8 +216,12 @@ class _Hermitian:
 
 
 def min_eigenvalue_hermitian(m) -> float:
-    """Smallest eigenvalue of the Hermitian part (m + m^dag)/2."""
-    return _Hermitian(_square(m)).lambda_min
+    """Smallest eigenvalue of the Hermitian part (m + m^dag)/2 of a nonempty
+    square matrix."""
+    m = _square(m)
+    if m.size == 0:
+        raise DimensionError("expected a nonempty matrix, got shape (0, 0)")
+    return _Hermitian(m).lambda_min
 
 
 def is_positive_semidefinite(m, tol: float) -> bool:

@@ -303,8 +303,7 @@ def _reference_tables(dx: int, dy: int):
 
 
 def reference_gather(basis, m):
-    """The block read of ``represent`` through per-entry index tables: the
-    coefficients and the weighted upper triangle of Tr_Y J."""
+    """The coefficients that ``represent`` reads, through per-entry index tables."""
     block, pair, weight, _, profiles = _reference_tables(basis.dx, basis.dy)
     batch, dx, dy = m.shape[:-2], basis.dx, basis.dy
     m = np.ascontiguousarray(m)
@@ -315,7 +314,7 @@ def reference_gather(basis, m):
     values[..., 0] = m.trace(axis1=-2, axis2=-1).real / np.sqrt(dx * dy)
     values[..., 1:split] = (profiles @ rows).reshape(batch + (-1,))
     np.multiply(f.take(pair, axis=-1), SQRT2, out=values[..., split:])
-    return values, rows.sum(axis=-2)
+    return values
 
 
 def reference_scatter(basis, values):

@@ -25,6 +25,7 @@ from channelrep import (
     is_trace_preserving,
     kron,
     order_unit_pairing,
+    partial_trace_first,
     random_channel,
     represent,
     schur_channel,
@@ -325,7 +326,7 @@ def test_represent_rejects_overflowing_norm():
 def test_non_finite_coefficients_raise_validation_error():
     values = np.zeros(13)
     values[3] = np.nan
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="coefficient vector contains non-finite entries"):
         combine(get_basis(2, 2), values)
     with pytest.raises(ValidationError):
         CoefficientVector(dx=2, dy=2, values=values)
@@ -503,13 +504,13 @@ def test_sperp_direction_rejected_at_any_scale(j, t, scale, seed):
 
 # Residual shapes for the membership bound ||R||_1 <= sqrt(dx) ||R||_F.  On
 # a traceless +-1 diagonal with even dx the two sides are equal, so a bound
-# without its sqrt(dx) accepts residuals above the tolerance.  The bound
-# reads only the upper triangle of J; a "skew" input also carries an
-# anti-Hermitian part below HERMITICITY_TOL, which the exact rule reads.  In
-# "pairs skew" the residual is c * sigma_x on pairs of rows, as small as the
-# default tolerance, and the anti-Hermitian part (just under HERMITICITY_TOL)
-# lowers its upper entries by about 1% of c: the upper triangle alone then
-# reads a residual below the one the exact rule judges.
+# without its sqrt(dx) accepts residuals above the tolerance.  A "skew"
+# input also carries an anti-Hermitian part below HERMITICITY_TOL, which the
+# residual of all of J contains.  In "pairs skew" the residual is
+# c * sigma_x on pairs of rows, as small as the default tolerance, and the
+# anti-Hermitian part (just under HERMITICITY_TOL) lowers its upper entries
+# by about 1% of c: a read of the upper triangle alone would judge a
+# residual below the one of all of J.
 PLANTED = [
     (2, 2, "flat"), (4, 2, "flat"), (4, 3, "flat"), (2, 3, "random"), (3, 3, "random"), (4, 2, "random"),
     (2, 2, "flat skew"), (4, 3, "flat skew"), (3, 3, "random skew"), (4, 2, "random skew"),
@@ -560,10 +561,50 @@ def test_membership_verdict_at_planted_residual(dx, dy, shape, t, scale):
         assert exc_info.value.residual_trace_norm == pytest.approx(exact, rel=1e-12)
 
 
+@st.composite
+def _planted_membership(draw):
+    """(basis, m, residual by the full-matrix rule, s): a channel plus a
+    planted residual t * (I_Y (x) h), t in [1e-10, 1e-1], at a scale in
+    [1e-3, 1e8], exactly Hermitian or with an anti-Hermitian part of max-abs
+    entry 0.4 * HERMITICITY_TOL * s."""
+    dx, dy = draw(st.integers(2, 6)), draw(st.integers(1, 6))  # R = 0 when dx = 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = int(rng.integers(-(-dx // dy), dx * dy + 1))
+    h = rand_hermitian(rng, dx)
+    h -= np.trace(h) / dx * np.eye(dx)
+    h /= np.linalg.norm(h)
+    t, scale = 10.0 ** rng.uniform(-10, -1), 10.0 ** rng.uniform(-3, 8)
+    m = scale * (random_channel(dx, dy, rank, int(rng.integers(2**31))).matrix
+                 + t * kron(np.eye(dy), h))
+    if draw(st.booleans()):
+        k = rand_complex(rng, m.shape)
+        skew = k - k.conj().T
+        m = m + 0.4 * HERMITICITY_TOL * max(1.0, np.linalg.norm(m)) * skew / np.abs(skew).max()
+    # The full-matrix rule: Tr_Y J, minus its complex trace / dx on the diagonal.
+    r = partial_trace_first(m, dy, dx)
+    r.flat[:: dx + 1] -= np.trace(r) / dx
+    return get_basis(dx, dy), m, trace_norm(r), _Hermitian(m).scale()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_planted_membership(), st.sampled_from([0.3, 0.9, 0.98, 1.02, 1.1, 3.0]))
+def test_membership_verdict_and_residual_equal_the_full_matrix_rule(planted, ratio):
+    # The residual sits at ratio * tol * s: rejected exactly when ratio > 1,
+    # and the reported residual is the full-matrix rule's, bit for bit.
+    b, m, want, s = planted
+    tol = want / (ratio * s)
+    if ratio < 1:
+        represent(b, m, membership_tol=tol)
+    else:
+        with pytest.raises(NotInSubspaceError) as exc_info:
+            represent(b, m, membership_tol=tol)
+        assert exc_info.value.residual_trace_norm == want
+
+
 def test_near_hermitian_input_is_judged_by_its_whole_residual():
     # J - J^dag is 1.4e-10, under HERMITICITY_TOL * s = 1.414e-10.  The upper
-    # triangle reads a residual of trace norm 1.410e-8, under the tolerance
-    # 1e-8 * s = 1.414e-8; all of J gives 2c = 1.424e-8, above it.
+    # triangle alone gives a residual of trace norm 1.410e-8, under the
+    # tolerance 1e-8 * s = 1.414e-8; all of J gives 2c = 1.424e-8, above it.
     c, d = 7.12e-9, 7e-11
     m = np.array([[1.0, c - d], [c + d, 1.0]], dtype=complex)
     with pytest.raises(NotInSubspaceError) as exc_info:
@@ -643,14 +684,14 @@ def test_predicates_on_combine_output_make_no_comparison(monkeypatch):
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_gather_reads_only_what_the_mirror_keeps(dx, dy, seed):
     # Mirroring changes entries below the diagonal and the imaginary parts
-    # on it; the coefficients do not read them.
+    # on it; the coefficients do not read them.  Tr_Y J, the second output,
+    # reads both triangles of the diagonal blocks by design.
     rng = np.random.default_rng(seed)
     b, n = get_basis(dx, dy), dx * dy
     m = rand_hermitian(rng, n) + 1e-12 * rand_complex(rng, (n, n))
     mirrored = _mirror_upper(m.copy())
     assert np.array_equal(mirrored, mirrored.conj().T)
-    for read, read_mirrored in zip(_gather(b, m), _gather(b, mirrored)):
-        assert read.tobytes() == read_mirrored.tobytes()
+    assert _gather(b, m)[0].tobytes() == _gather(b, mirrored)[0].tobytes()
 
 
 @settings(max_examples=50, deadline=None, database=None)
@@ -705,12 +746,22 @@ def _assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def _assert_gather_equals_references(b, m):
+    """Coefficients byte for byte as the table read; Tr_Y J equal to the
+    per-entry loop, item by item."""
+    values, reduced = _gather(b, m)
+    _assert_same_bytes(values, reference_gather(b, m))
+    items = m.reshape((-1,) + m.shape[-2:])
+    loop = np.array([ptrace_first_loop(x, b.dy, b.dx) for x in items])
+    assert reduced.shape == m.shape[:-2] + (2 * b.dx * b.dx,) and reduced.dtype == float
+    assert np.array_equal(reduced.view(complex), loop.reshape(m.shape[:-2] + (-1,)))
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(_block_inputs())
 def test_block_read_and_write_equal_the_table_reference(inputs):
     b, m, rng = inputs
-    for got, want in zip(_gather(b, m), reference_gather(b, m)):
-        _assert_same_bytes(got, want)
+    _assert_gather_equals_references(b, m)
     shape = m.shape[:-2] + (len(b),)
     v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
     _assert_same_bytes(_scatter(b, v), reference_scatter(b, v))
@@ -721,8 +772,7 @@ def test_block_read_and_write_equal_the_table_reference_at_scale(d):
     rng = np.random.default_rng(d)
     b, n = channel_basis(d, d), d * d
     for m in (random_channel(d, d, 2, seed=d).matrix, rand_complex(rng, (n, n))):
-        for got, want in zip(_gather(b, m), reference_gather(b, m)):
-            _assert_same_bytes(got, want)
+        _assert_gather_equals_references(b, m)
     v = rng.standard_normal(len(b))
     _assert_same_bytes(_scatter(b, v), reference_scatter(b, v))
 

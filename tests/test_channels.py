@@ -16,6 +16,7 @@ from channelrep import (
     represent,
     schur_channel,
     unitary_channel,
+    validate_correlation,
 )
 
 from fixtures import (
@@ -189,6 +190,35 @@ def test_random_channel_parameter_validation():
         random_channel(4, 1, 2, seed=0)  # rank*dy < dx cannot be TP
     with pytest.raises(DomainError):
         random_channel(0, 2, 1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "rank,seed,match",
+    [
+        (True, 1, "kraus_rank must be an integer in \\[1, 4\\] for dims \\(2, 2\\), got True"),
+        (2.0, 1, "kraus_rank must be an integer in .*, got 2.0"),
+        ("2", 1, "kraus_rank must be an integer in .*, got '2'"),
+        (2, 1.5, "seed must be an integer >= 0, got 1.5"),
+        (2, True, "seed must be an integer >= 0, got True"),
+        (2, -1, "seed must be an integer >= 0, got -1"),
+        (2, np.int64(-1), "seed must be an integer >= 0, got "),
+    ],
+)
+def test_random_channel_refuses_non_integer_rank_and_seed(rank, seed, match):
+    with pytest.raises(DomainError, match=match):
+        random_channel(2, 2, rank, seed)
+
+
+def test_random_channel_takes_numpy_integers():
+    want = random_channel(2, 3, 2, seed=7).matrix
+    assert np.array_equal(random_channel(2, 3, np.int64(2), np.uint8(7)).matrix, want)
+
+
+def test_constructors_refuse_an_empty_side():
+    empty = np.zeros((0, 0))
+    for construct in (unitary_channel, schur_channel, validate_correlation):
+        with pytest.raises(DomainError, match="got \\(0, 0\\)"):
+            construct(empty)
 
 
 def test_constructors_are_hermiticity_preserving():

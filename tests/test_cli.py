@@ -316,6 +316,15 @@ def test_random_invalid_rank_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_random_negative_seed_exit_2(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(["random", "--dx", "2", "--dy", "2", "--rank", "2", "--seed", "-1",
+                 "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+    assert not out.exists()
+
+
 def _write_argv(tmp_path, command, out):
     """argv of ``command`` writing its result to ``out``."""
     if command == "represent":

@@ -246,6 +246,8 @@ def test_min_eigenvalue_hadamard_choi():
 def test_min_eigenvalue_non_square():
     with pytest.raises(DimensionError):
         min_eigenvalue_hermitian(np.zeros((2, 3)))
+    with pytest.raises(DimensionError, match="nonempty"):
+        min_eigenvalue_hermitian(np.zeros((0, 0)))
 
 
 def test_hermiticity_helpers():
