@@ -27,14 +27,24 @@ class NotCompletelyPositiveWarning(UserWarning):
     """The constructed map is valid but not completely positive."""
 
 
+def _finite_square(a, what: str) -> np.ndarray:
+    """``a`` as a complex square matrix of side >= 1 whose entries are all
+    finite; ``ValidationError`` naming ``what`` otherwise."""
+    a = _square(a)
+    check_dims(*a.shape)
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} contains non-finite entries")
+    return a
+
+
 def unitary_channel(u) -> ChoiMatrix:
     """Choi matrix of x -> u x u^dag for a unitary u, via res(u) res(u)^dag.
 
     Like ``choi_from_kraus``, it equals its conjugate transpose exactly.
+    A ``u`` with a NaN or inf entry is refused before anything is computed.
     """
-    u = _square(u)
+    u = _finite_square(u, "unitary matrix")
     d = u.shape[0]
-    check_dims(d, d)
     defect = np.abs(u.conj().T @ u - np.eye(d)).max()
     if defect > HERMITICITY_TOL:
         raise ValidationError(f"matrix is not unitary (max |u^dag u - I| = {defect:.3e})")
@@ -44,12 +54,10 @@ def unitary_channel(u) -> ChoiMatrix:
 
 def _correlation_record(a, tol: float) -> _Hermitian:
     """The Hermitian record of ``a``, checked as ``validate_correlation`` states."""
-    a = _square(a)
-    check_dims(*a.shape)
-    h = _Hermitian(a)
+    h = _Hermitian(_finite_square(a, "correlation matrix"))
     if h.defect > tol:
         raise ValidationError(f"correlation matrix is not Hermitian (defect {h.defect:.3e})")
-    diag_defect = np.abs(np.diag(a) - 1.0).max()
+    diag_defect = np.abs(np.diag(h.m) - 1.0).max()
     if diag_defect > tol:
         raise ValidationError(
             f"correlation matrix does not have unit diagonal (defect {diag_defect:.3e})"
@@ -58,18 +66,21 @@ def _correlation_record(a, tol: float) -> _Hermitian:
 
 
 def validate_correlation(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Check that ``a`` is Hermitian with unit diagonal; return it as complex."""
+    """Check that ``a`` is finite and Hermitian with unit diagonal; return it
+    as complex."""
     return _correlation_record(a, _check_tolerance(tol)).m
 
 
 def schur_channel(a, cp_tol: float = HERMITICITY_TOL) -> ChoiMatrix:
     """Choi matrix of the entrywise-product map y -> a .* y.
 
-    ``a`` must be Hermitian with unit diagonal; the channel is then always
-    trace preserving.  It is completely positive exactly when ``a`` is
-    positive semidefinite; if ``a`` is not positive semidefinite within
-    ``cp_tol`` (the rule of ``is_completely_positive``) the construction
-    still succeeds but a ``NotCompletelyPositiveWarning`` is emitted.
+    ``a`` must be finite and Hermitian with unit diagonal; the channel is
+    then always trace preserving.  It is completely positive exactly when
+    ``a`` is positive semidefinite; if ``a`` is not positive semidefinite
+    within ``cp_tol`` (the rule of ``is_completely_positive``) the
+    construction still succeeds but a ``NotCompletelyPositiveWarning`` is
+    emitted.  A NaN or inf entry is refused before the PSD test, so it
+    raises no such warning.
     """
     h = _correlation_record(a, HERMITICITY_TOL)
     a, d = h.m, h.m.shape[0]

@@ -24,11 +24,10 @@ from .choi import (
 )
 from .errors import ChannelRepError, DomainError, NotInSubspaceError
 from .fileio import (
-    _encode_matrix,
-    _write_json,
     load_matrix_file,
     load_vector_file,
     matrix_file_to_choi,
+    save_basis_file,
     save_matrix_file,
     save_vector_file,
 )
@@ -81,9 +80,9 @@ def _cmd_represent(args) -> int:
 
 
 def _cmd_combine(args) -> int:
-    vf = load_vector_file(args.input)
-    j = combine(channel_basis(vf.dx, vf.dy), vf.values)
-    save_matrix_file(args.output, "choi", vf.dx, vf.dy, j.matrix)
+    v = load_vector_file(args.input)
+    j = combine(channel_basis(v.dx, v.dy), v)
+    save_matrix_file(args.output, "choi", v.dx, v.dy, j.matrix)
     return EXIT_OK
 
 
@@ -120,12 +119,7 @@ def _cmd_roundtrip(args) -> int:
 
 def _cmd_basis(args) -> int:
     basis = channel_basis(args.dx, args.dy)
-    elements = [
-        {"label": list(label), "matrix": _encode_matrix(element)}
-        for label, element in zip(basis.labels, basis.elements)
-    ]
-    doc = {"dx": args.dx, "dy": args.dy, "dim_s": len(basis), "elements": elements}
-    _write_json(args.output, doc)
+    save_basis_file(args.output, basis)
     print(f"dim_s {len(basis)}")
     return EXIT_OK
 

@@ -1,11 +1,14 @@
-"""JSON file formats for matrices and coefficient vectors.
+"""JSON file formats: matrix files, coefficient-vector files and basis files.
 
 Matrix files carry a ``kind`` ("choi", "unitary", "correlation" or "kraus"),
 the dimensions ``dx``/``dy`` and the matrix data; every complex entry is a
 two-element ``[re, im]`` pair so files are locale- and parser-proof.  Vector
 files carry ``dx``/``dy`` and a flat list of reals whose length must equal
-the channel-subspace dimension.  Floats are serialized with shortest
-round-trip precision, so load(save(x)) is value-identical.
+the channel-subspace dimension.  Basis files, which are written but never
+read, carry ``dx``/``dy``, ``dim_s`` and the ``elements`` of the channel
+basis in coefficient order, each a ``label`` and a ``matrix`` of
+``[re, im]`` pairs.  Floats are serialized with shortest round-trip
+precision, so load(save(x)) is value-identical.
 """
 
 from __future__ import annotations
@@ -15,19 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_basis import subspace_dimension
-from .choi import ChoiMatrix, KrausSet, check_dims, choi_from_kraus
+from .channel_basis import ChannelBasis, CoefficientVector, subspace_dimension
+from .choi import ChoiMatrix, KrausSet, _built, check_dims, choi_from_kraus
 from .channels import schur_channel, unitary_channel
 from .errors import DomainError, FileFormatError
 
 __all__ = [
     "MATRIX_KINDS",
     "MatrixFile",
-    "VectorFile",
     "load_matrix_file",
     "save_matrix_file",
     "load_vector_file",
     "save_vector_file",
+    "save_basis_file",
     "matrix_file_to_choi",
 ]
 
@@ -42,15 +45,6 @@ class MatrixFile:
     dx: int
     dy: int
     data: np.ndarray  # (rows, cols) or (m, rows, cols) for kind == "kraus"
-
-
-@dataclass(frozen=True)
-class VectorFile:
-    """Parsed coefficient-vector file."""
-
-    dx: int
-    dy: int
-    values: np.ndarray
 
 
 def _encode_matrix(m: np.ndarray) -> list:
@@ -214,13 +208,19 @@ def save_matrix_file(path, kind: str, dx: int, dy: int, data) -> None:
     _write_json(path, {"kind": kind, "dx": dx, "dy": dy, "data": _encode_matrix(m)})
 
 
-def load_vector_file(path) -> VectorFile:
-    """Parse and validate a coefficient-vector file."""
+def load_vector_file(path) -> CoefficientVector:
+    """Parse and validate a coefficient-vector file.
+
+    The ``CoefficientVector`` is built once, from the array the decoder just
+    checked (finite, one level deep, of length dim(S)) and made read-only;
+    nothing is copied or checked again.
+    """
     doc = _read_json(path, "vector")
     dx, dy = _require_dims(doc, str(path))
     values = _decode(doc.get("values"), str(path), 1)
     _check_length(str(path), dx, dy, len(values))
-    return VectorFile(dx=dx, dy=dy, values=values)
+    values.setflags(write=False)
+    return _built(CoefficientVector, dx=dx, dy=dy, values=values)
 
 
 def save_vector_file(path, dx: int, dy: int, values) -> None:
@@ -237,6 +237,17 @@ def save_vector_file(path, dx: int, dy: int, values) -> None:
         raise FileFormatError(f"{where}: values must be a list of numbers")
     _check_length(where, dx, dy, len(values))
     _write_json(path, {"dx": dx, "dy": dy, "values": values.tolist()})
+
+
+def save_basis_file(path, basis: ChannelBasis) -> None:
+    """Write ``basis`` as a basis file: its dims, dim(S) and every element
+    with its label, in coefficient order.  An unwritable path raises
+    ``FileFormatError``."""
+    elements = [
+        {"label": list(label), "matrix": _encode_matrix(element)}
+        for label, element in zip(basis.labels, basis.elements)
+    ]
+    _write_json(path, {"dx": basis.dx, "dy": basis.dy, "dim_s": len(basis), "elements": elements})
 
 
 def matrix_file_to_choi(mf: MatrixFile) -> ChoiMatrix:

@@ -127,41 +127,33 @@ class _Hermitian:
 
     ``exact`` is m == m^dag entry for entry; ``defect`` is the max-abs entry
     of m - m^dag, exactly 0.0 when ``exact``.  Both come from one comparison,
-    made on first use; m^dag is not kept after it.  A matrix the package
-    built exactly Hermitian by mirroring is recorded with ``exact=True`` and
-    never compared.  The scale, the Hermitian part, its eigenvalues and the
-    PSD verdict follow; the scale and the eigenvalues are computed at most
-    once.  A ``ChoiMatrix`` caches its record, so the predicates,
-    ``represent`` and the CLI share one analysis of J.
+    made when the record is built; m^dag is not kept after it.  A matrix the
+    package built exactly Hermitian by mirroring is recorded with
+    ``exact=True`` and never compared.  The scale, the Hermitian part, its
+    eigenvalues and the PSD verdict follow; the scale and the eigenvalues are
+    computed at most once.  A ``ChoiMatrix`` caches its record, so the
+    predicates, ``represent`` and the CLI share one analysis of J.
     """
 
-    __slots__ = ("m", "_exact", "_defect", "_scale", "_eigenvalues")
+    __slots__ = ("m", "exact", "defect", "_scale", "_eigenvalues")
 
-    def __init__(self, m: np.ndarray, exact: bool | None = None):
+    def __init__(self, m: np.ndarray, exact: bool = False):
         self.m = m
-        self._exact = exact
-        self._defect = 0.0 if exact else None
         self._scale = None
         self._eigenvalues = None
+        self.exact, self.defect = (True, 0.0) if exact else self._compare()
 
-    def _compare(self) -> None:
+    def _compare(self) -> tuple[bool, float]:
+        """(exact, defect) of m, from one comparison with m^dag."""
         # Compared as float views of two C-ordered arrays: equal parts are
         # equal entries, and numpy compares floats faster than complex.
         m_dag = np.conjugate(self.m.T, order="C")
-        self._exact = bool((np.ascontiguousarray(self.m).view(float) == m_dag.view(float)).all())
-        self._defect = 0.0 if self._exact else float(np.abs(self.m - m_dag).max())
-
-    @property
-    def exact(self) -> bool:
-        if self._exact is None:
-            self._compare()
-        return self._exact
-
-    @property
-    def defect(self) -> float:
-        if self._defect is None:
-            self._compare()
-        return self._defect
+        exact = bool((np.ascontiguousarray(self.m).view(float) == m_dag.view(float)).all())
+        # Entries near the float limit overflow in the difference and inf
+        # entries give NaN: the defect says so without a RuntimeWarning, and
+        # ``scale`` refuses such a matrix where a tolerance is relative to it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return exact, 0.0 if exact else float(np.abs(self.m - m_dag).max())
 
     def scale(self) -> float:
         """s = max(1, ||m||_F), the scale the package's tolerances are relative to.

@@ -663,7 +663,7 @@ def test_exact_mark_equals_the_comparison(dx, dy, seed):
         unitary_channel(rand_unitary(rng, dx)),
     ):
         marked = vars(j)["_hermitian"]
-        assert marked._exact is True
+        assert marked.exact is True
         compared = _Hermitian(j.matrix)
         assert (compared.exact, compared.defect) == (True, 0.0) == (marked.exact, marked.defect)
 

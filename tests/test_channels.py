@@ -225,3 +225,27 @@ def test_constructors_are_hermiticity_preserving():
     assert is_hermiticity_preserving(unitary_channel(HADAMARD))
     assert is_hermiticity_preserving(schur_channel(CORRELATION_2DP))
     assert is_hermiticity_preserving(random_channel(3, 3, 2, seed=5))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("construct", [validate_correlation, schur_channel])
+def test_correlation_with_non_finite_entries_is_refused_without_warning(construct, entry):
+    # inf == inf, so a comparison with the adjoint alone would call this
+    # matrix exactly Hermitian; NaN would reach the PSD test and warn.
+    a = np.array([[1.0, entry], [entry, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as exc_info:
+            construct(a)
+    assert str(exc_info.value) == "correlation matrix contains non-finite entries"
+
+
+@pytest.mark.parametrize(
+    "u", [[[np.nan]], [[np.inf, 0.0], [0.0, 1.0]]], ids=["nan-1x1", "inf-2x2"]
+)
+def test_unitary_with_non_finite_entries_is_refused_without_warning(u):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as exc_info:
+            unitary_channel(np.array(u))
+    assert str(exc_info.value) == "unitary matrix contains non-finite entries"

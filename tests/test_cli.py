@@ -19,6 +19,9 @@ from hypothesis import strategies as st
 import channelrep
 from channelrep import (
     HERMITICITY_TOL,
+    CoefficientVector,
+    channel_basis,
+    combine,
     hermiticity_defect,
     is_trace_preserving,
     kron,
@@ -117,6 +120,33 @@ def test_combine_first_unit_vector(tmp_path):
     out = tmp_path / "j.json"
     assert main(["combine", str(vec), "--output", str(out)]) == 0
     assert np.abs(load_matrix_file(out).data - np.eye(4) / 2).max() <= 1e-15
+
+
+def test_combine_builds_one_coefficient_vector(tmp_path, monkeypatch):
+    # The loader's vector is the one combine reads: no second one is checked.
+    vec, out = tmp_path / "v.json", tmp_path / "j.json"
+    save_vector_file(vec, 2, 3, np.linspace(-1.0, 1.0, subspace_dimension(2, 3)))
+
+    def forbidden(self):
+        raise AssertionError("a second CoefficientVector was built")
+
+    monkeypatch.setattr(CoefficientVector, "__post_init__", forbidden)
+    assert main(["combine", str(vec), "--output", str(out)]) == 0
+
+
+@pytest.mark.parametrize("dx,dy,seed", [(1, 1, 0), (1, 3, 1), (3, 1, 2), (2, 3, 3), (4, 4, 4)])
+def test_combine_writes_what_the_library_writes(tmp_path, dx, dy, seed):
+    # The bytes of combining the vector's numbers as a plain array.
+    rng = np.random.default_rng(seed)
+    n = subspace_dimension(dx, dy)
+    values = rng.standard_normal(n) * 10.0 ** rng.uniform(-200, 200, n)
+    values[rng.random(n) < 0.2] = -0.0
+    vec, out, want = tmp_path / "v.json", tmp_path / "j.json", tmp_path / "want.json"
+    save_vector_file(vec, dx, dy, values)
+    j = combine(channel_basis(dx, dy), json.loads(vec.read_text())["values"])
+    save_matrix_file(want, "choi", dx, dy, j.matrix)
+    assert main(["combine", str(vec), "--output", str(out)]) == 0
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_combine_length_mismatch_exit_2(tmp_path):

@@ -10,11 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from channelrep import FileFormatError, choi_from_kraus, KrausSet, schur_channel, unitary_channel
+from channelrep import (
+    CoefficientVector,
+    FileFormatError,
+    KrausSet,
+    channel_basis,
+    choi_from_kraus,
+    schur_channel,
+    unitary_channel,
+)
 from channelrep.fileio import (
     load_matrix_file,
     load_vector_file,
     matrix_file_to_choi,
+    save_basis_file,
     save_matrix_file,
     save_vector_file,
 )
@@ -58,6 +67,21 @@ def test_vector_round_trip(tmp_path):
     back = load_vector_file(path)
     assert (back.dx, back.dy) == (2, 2)
     assert np.array_equal(back.values, values)
+
+
+def test_vector_file_loads_as_a_read_only_coefficient_vector(tmp_path):
+    path = tmp_path / "v.json"
+    save_vector_file(path, 1, 2, [0.5, -0.0, 1e300, 5e-324])
+    v = load_vector_file(path)
+    assert type(v) is CoefficientVector
+    assert not v.values.flags.writeable
+    with pytest.raises(ValueError):
+        v.values[0] = 1.0
+    # The same value the public constructor would build from the file's numbers.
+    want = CoefficientVector(dx=1, dy=2, values=[0.5, -0.0, 1e300, 5e-324])
+    assert (type(v.dx), type(v.dy), v.dx, v.dy) == (int, int, want.dx, want.dy)
+    assert v.values.dtype == want.values.dtype and v.values.flags.c_contiguous
+    assert v.values.tobytes() == want.values.tobytes() and len(v) == 4
 
 
 def test_save_is_canonical_and_stable(tmp_path):
@@ -249,6 +273,26 @@ def test_malformed_input_is_file_format_error(tmp_path, loader, case):
             ("choi", np.int32(1), np.int64(1), [[2.0]]),
             '{"kind": "choi", "dx": 1, "dy": 1, "data": [[[2.0, 0.0]]]}\n',
             id="matrix-numpy-integer-dims",
+        ),
+        pytest.param(
+            save_basis_file,
+            (channel_basis(1, 1),),
+            '{"dx": 1, "dy": 1, "dim_s": 1, "elements": '
+            '[{"label": ["identity"], "matrix": [[[1.0, 0.0]]]}]}\n',
+            id="basis-1x1",
+        ),
+        pytest.param(
+            save_basis_file,
+            (channel_basis(1, 2),),
+            '{"dx": 1, "dy": 2, "dim_s": 4, "elements": [{"label": ["identity"], "matrix": '
+            '[[[0.7071067811865475, 0.0], [0.0, 0.0]], [[0.0, -0.0], [0.7071067811865475, 0.0]]]}, '
+            '{"label": ["diag_proj", 1, 0], "matrix": '
+            '[[[0.7071067811865475, 0.0], [0.0, 0.0]], [[0.0, -0.0], [-0.7071067811865475, 0.0]]]}, '
+            '{"label": ["pair_sym", 0, 0, 1, 0], "matrix": '
+            '[[[0.0, 0.0], [0.7071067811865475, 0.0]], [[0.7071067811865475, -0.0], [0.0, 0.0]]]}, '
+            '{"label": ["pair_antisym", 0, 0, 1, 0], "matrix": '
+            '[[[0.0, 0.0], [0.0, 0.7071067811865475]], [[0.0, -0.7071067811865475], [0.0, 0.0]]]}]}\n',
+            id="basis-1x2",
         ),
     ],
 )
