@@ -72,7 +72,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .choi import ChoiMatrix, _built, _exact_choi, _finite_read_only, check_dims
+from .choi import ChoiMatrix, _built, _exact_choi, _finite_read_only, check_dims, check_size
 from .errors import DimensionError, NotInSubspaceError, ValidationError
 from .linalg import (
     HERMITICITY_TOL,
@@ -180,9 +180,13 @@ class ChannelBasis:
         """Read-only dense stack of shape (dim(S), dx*dy, dx*dy), built on first use.
 
         Element k is ``combine`` of the k-th unit vector.  It takes
-        O((dx*dy)^4) memory; ``represent`` and ``combine`` never need it.
+        16 dim(S) (dx*dy)^2 bytes, refused with ``DomainError`` above the
+        size limit ``choi.MAX_ARRAY_BYTES``; ``represent`` and ``combine``
+        never need it.
         """
-        stack = _scatter(self, np.eye(len(self)))
+        n, dim = self.dx * self.dy, len(self)
+        check_size(self.dx, self.dy, f"the basis stack of {dim} {n}x{n} elements", 16 * dim * n * n)
+        stack = _scatter(self, np.eye(dim))
         stack.setflags(write=False)
         return stack
 
@@ -211,7 +215,7 @@ class ChannelBasis:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientVector:
     """Real expansion coefficients of a Choi matrix in a ChannelBasis."""
 
@@ -234,7 +238,7 @@ class CoefficientVector:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianBasis:
     """Ordered orthonormal basis of Herm(C^dim): a read-only (dim^2, dim, dim)
     ``elements`` stack and the parallel tuple of structural ``labels``."""
@@ -266,9 +270,12 @@ def sperp_basis(dx: int, dy: int) -> np.ndarray:
     ``H`` runs over the traceless elements of the dx x dx Hermitian basis;
     the result is a stack of exactly dx^2 - 1 Hermitian matrices (empty for
     dx = 1).  Tracing the output factor of any element yields a traceless
-    matrix, never a multiple of the identity.
+    matrix, never a multiple of the identity.  A stack of 16 (dx^2 - 1)
+    (dx*dy)^2 bytes above the size limit raises ``DomainError`` up front.
     """
     check_dims(dx, dy)
+    n, count = dx * dy, dx * dx - 1
+    check_size(dx, dy, f"the complement stack of {count} {n}x{n} elements", 16 * count * n * n)
     stack = kron(np.eye(dy) / np.sqrt(dy), channel_basis(1, dx).elements[1:])
     stack.setflags(write=False)
     return stack

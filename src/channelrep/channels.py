@@ -41,12 +41,15 @@ def unitary_channel(u) -> ChoiMatrix:
     """Choi matrix of x -> u x u^dag for a unitary u, via res(u) res(u)^dag.
 
     Like ``choi_from_kraus``, it equals its conjugate transpose exactly.
-    A ``u`` with a NaN or inf entry is refused before anything is computed.
+    A ``u`` with a NaN or inf entry is refused before anything is computed;
+    one with entries so large that u^dag u overflows is refused as not
+    unitary, without a ``RuntimeWarning``.
     """
     u = _finite_square(u, "unitary matrix")
     d = u.shape[0]
-    defect = np.abs(u.conj().T @ u - np.eye(d)).max()
-    if defect > HERMITICITY_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.abs(u.conj().T @ u - np.eye(d)).max()
+    if not defect <= HERMITICITY_TOL:  # a NaN defect is refused too
         raise ValidationError(f"matrix is not unitary (max |u^dag u - I| = {defect:.3e})")
     v = res(u)
     return _exact_choi(d, d, _mirror_upper(np.outer(v, v.conj())))

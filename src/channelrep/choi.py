@@ -20,14 +20,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ValidationError
+from .errors import DimensionError, DomainError, ValidationError, _SizeLimitError
 from .linalg import (
     HERMITICITY_TOL,
     _Hermitian,
     _check_tolerance,
     _mirror_upper,
     partial_trace_first,
-    res,
 )
 
 __all__ = [
@@ -47,18 +46,38 @@ def _is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+# The size limit: the most bytes that one array the package builds (a Choi
+# matrix, the dense basis stack) or one basis dump may take.  Larger sizes
+# are refused before anything is allocated.
+MAX_ARRAY_BYTES = 2**32
+
+
+def check_size(dx: int, dy: int, what: str, nbytes: int) -> None:
+    """Raise ``DomainError`` naming the dims, ``what`` and its estimated size
+    when ``nbytes`` is above ``MAX_ARRAY_BYTES``."""
+    if nbytes > MAX_ARRAY_BYTES:
+        raise _SizeLimitError(
+            f"dims ({dx}, {dy}): {what} would take about {nbytes / 2**30:,.1f} GiB, "
+            f"above the size limit of {MAX_ARRAY_BYTES / 2**30:g} GiB"
+        )
+
+
 def check_dims(dx: int, dy: int) -> None:
-    """Raise ``DomainError`` unless both channel dimensions are integers >= 1.
+    """Raise ``DomainError`` unless both channel dimensions are integers >= 1
+    whose complex Choi matrix, 16 (dx*dy)^2 bytes, fits the size limit.
 
     The one dimension rule of the package, under ``_is_integer``.
-    Constructors, the basis, the file readers and the writers all apply it.
+    Constructors, the basis, the file readers and the writers all apply it,
+    before they allocate anything.
     """
     for d in (dx, dy):
         if not _is_integer(d) or d < 1:
             raise DomainError(f"dimensions must be positive integers, got ({dx}, {dy})")
+    n = dx * dy
+    check_size(dx, dy, f"the {n}x{n} Choi matrix", 16 * n * n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """A Choi matrix of side dy*dx tagged with its (dx, dy) dimensions.
 
@@ -119,7 +138,7 @@ def _exact_choi(dx: int, dy: int, m: np.ndarray) -> ChoiMatrix:
     return _built(ChoiMatrix, dx=dx, dy=dy, matrix=m, _hermitian=_Hermitian(m, exact=True))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausSet:
     """A nonempty collection of dy x dx Kraus operators."""
 
@@ -157,7 +176,7 @@ def choi_from_kraus(k: KrausSet) -> ChoiMatrix:
     it are their conjugates, so the result equals its conjugate transpose
     exactly, not only to rounding.
     """
-    vecs = np.stack([res(op) for op in k.operators])
+    vecs = k.operators.reshape(len(k), -1)  # row m is res(K_m)
     with np.errstate(over="ignore", invalid="ignore"):  # _exact_choi refuses the result
         return _exact_choi(k.dx, k.dy, _mirror_upper(vecs.T @ vecs.conj()))
 

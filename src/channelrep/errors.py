@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ChannelRepError",
+    "DimensionError",
+    "DomainError",
+    "ValidationError",
+    "NotInSubspaceError",
+    "FileFormatError",
+]
+
 
 class ChannelRepError(Exception):
     """Base class for all channelrep errors."""
@@ -11,6 +20,11 @@ class DimensionError(ChannelRepError, ValueError):
 
 class DomainError(ChannelRepError, ValueError):
     """A scalar parameter is outside its admissible range."""
+
+
+class _SizeLimitError(DomainError):
+    """Dims whose arrays would take more than ``choi.MAX_ARRAY_BYTES``; the
+    file readers and writers pass its message on."""
 
 
 class ValidationError(ChannelRepError, ValueError):

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel_basis import ChannelBasis, CoefficientVector, subspace_dimension
-from .choi import ChoiMatrix, KrausSet, _built, check_dims, choi_from_kraus
+from .choi import ChoiMatrix, KrausSet, _built, check_dims, check_size, choi_from_kraus
 from .channels import schur_channel, unitary_channel
-from .errors import DomainError, FileFormatError
+from .errors import DomainError, FileFormatError, _SizeLimitError
 
 __all__ = [
     "MATRIX_KINDS",
@@ -37,7 +37,7 @@ __all__ = [
 MATRIX_KINDS = ("choi", "unitary", "correlation", "kraus")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixFile:
     """Parsed matrix file: one matrix, or a list of Kraus matrices."""
 
@@ -100,6 +100,8 @@ def _require_dims(doc: dict, what: str) -> tuple[int, int]:
         check_dims(dx, dy)
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"{what}: missing dx/dy") from exc
+    except _SizeLimitError as exc:  # its message names the dims and the size
+        raise FileFormatError(f"{what}: {exc}") from exc
     except DomainError as exc:
         raise FileFormatError(f"{what}: dx/dy must be positive integers") from exc
     return int(dx), int(dy)
@@ -239,10 +241,22 @@ def save_vector_file(path, dx: int, dy: int, values) -> None:
     _write_json(path, {"dx": dx, "dy": dy, "values": values.tolist()})
 
 
+# Peak bytes that writing a basis file takes per complex entry of its
+# elements, measured at 4x4 to 6x6: the entry in the dense stack, its Python
+# floats and lists, and its JSON text.
+BASIS_DUMP_BYTES_PER_ENTRY = 200
+
+
 def save_basis_file(path, basis: ChannelBasis) -> None:
     """Write ``basis`` as a basis file: its dims, dim(S) and every element
     with its label, in coefficient order.  An unwritable path raises
-    ``FileFormatError``."""
+    ``FileFormatError``.  A dump whose estimated peak,
+    ``BASIS_DUMP_BYTES_PER_ENTRY`` bytes for each of the dim(S) (dx*dy)^2
+    entries, is above the size limit ``choi.MAX_ARRAY_BYTES`` raises
+    ``DomainError`` before anything is built."""
+    n, dim = basis.dx * basis.dy, len(basis)
+    what = f"the basis dump of {dim} {n}x{n} elements"
+    check_size(basis.dx, basis.dy, what, BASIS_DUMP_BYTES_PER_ENTRY * dim * n * n)
     elements = [
         {"label": list(label), "matrix": _encode_matrix(element)}
         for label, element in zip(basis.labels, basis.elements)

@@ -21,7 +21,6 @@ __all__ = [
     "trace_norm",
     "res",
     "min_eigenvalue_hermitian",
-    "is_positive_semidefinite",
     "hermiticity_defect",
     "is_hermitian",
 ]

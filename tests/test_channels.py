@@ -249,3 +249,16 @@ def test_unitary_with_non_finite_entries_is_refused_without_warning(u):
         with pytest.raises(ValidationError) as exc_info:
             unitary_channel(np.array(u))
     assert str(exc_info.value) == "unitary matrix contains non-finite entries"
+
+
+@pytest.mark.parametrize(
+    "u",
+    [[[1e200, 1e200], [1e200, -1e200]], [[1e300 * (1 + 1j), 0.0], [0.0, 1.0]]],
+    ids=["inf-defect", "nan-defect"],
+)
+def test_unitary_whose_product_overflows_is_refused_without_warning(u):
+    # u^dag u overflows: the defect is inf, or NaN where inf - inf is formed.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="matrix is not unitary"):
+            unitary_channel(np.array(u))

@@ -5,6 +5,7 @@ import pytest
 
 from channelrep import (
     ChoiMatrix,
+    CoefficientVector,
     DimensionError,
     DomainError,
     KrausSet,
@@ -12,6 +13,7 @@ from channelrep import (
     apply_channel,
     channel_basis,
     choi_from_kraus,
+    hermitian_basis,
     hermiticity_defect,
     is_completely_positive,
     is_hermitian,
@@ -24,7 +26,8 @@ from channelrep import (
     validate_correlation,
 )
 from channelrep.channels import schur_channel
-from channelrep.linalg import is_positive_semidefinite
+from channelrep.fileio import MatrixFile
+from channelrep.linalg import _mirror_upper, is_positive_semidefinite, res
 
 from fixtures import (
     CORRELATION_2DP,
@@ -61,6 +64,34 @@ def test_choi_from_kraus_matches_double_sum(dx, dy, rank):
     ops = rand_kraus_ops(rng, dx, dy, rank)
     j = choi_from_kraus(KrausSet(dx=dx, dy=dy, operators=ops))
     assert np.abs(j.matrix - choi_double_sum(ops, dx, dy)).max() <= 1e-12
+
+
+def test_choi_from_kraus_equals_the_product_of_stacked_vectorizations():
+    rng = np.random.default_rng(2031)
+    for _ in range(300):
+        dx, dy, rank = rng.integers(1, 7), rng.integers(1, 7), rng.integers(1, 9)
+        k = KrausSet(dx=dx, dy=dy, operators=rand_complex(rng, (rank, dy, dx)))
+        vecs = np.stack([res(op) for op in k.operators])
+        expected = _mirror_upper(vecs.T @ vecs.conj())
+        assert choi_from_kraus(k).matrix.tobytes() == expected.tobytes()
+
+
+def test_value_types_holding_arrays_compare_and_hash_by_identity():
+    pairs = [
+        (random_channel(2, 2, 2, seed=1), random_channel(2, 2, 2, seed=1)),
+        (KrausSet(dx=1, dy=1, operators=[[1.0]]), KrausSet(dx=1, dy=1, operators=[[1.0]])),
+        (CoefficientVector(1, 1, [1.0]), CoefficientVector(1, 1, [1.0])),
+        (hermitian_basis(2), hermitian_basis(2)),
+        (MatrixFile("choi", 1, 1, np.eye(1)), MatrixFile("choi", 1, 1, np.eye(1))),
+    ]
+    for a, b in pairs:
+        assert a == a and a != b and not a == b
+        assert hash(a) == hash(a)
+        assert a in {a} and b not in {a}
+        assert len({a, b}) == 2
+    assert channel_basis(2, 3) == channel_basis(2, 3)
+    assert {channel_basis(2, 3), channel_basis(2, 3)} == {channel_basis(2, 3)}
+    assert channel_basis(2, 3) != channel_basis(3, 2)
 
 
 def test_choi_from_kraus_hermitian_and_psd():
