@@ -43,9 +43,9 @@ a fixed pattern for given dx; each basis builds its O(dx^2 + dy^2) layout
 (triangle indices, sqrt(2) weights and Helmert rows) on first use and keeps
 it, so a call is a few array operations on views of J.
 
-Tolerances are relative to s = max(1, ||J||_F), so the verdicts of
-``represent`` and ``order_unit_pairing`` do not depend on units: J is
-rejected as non-Hermitian when its max-abs defect exceeds
+Tolerances are relative to s = ||J||_F, so the verdicts of ``represent``
+and ``order_unit_pairing`` do not depend on units, whether ||J||_F is above
+1 or below it: J is rejected as non-Hermitian when its max-abs defect exceeds
 HERMITICITY_TOL * s, and by ``represent`` as outside S when the trace norm
 of its projection onto the complement, the dx x dx residual
 R = Tr_Y J - (tr J/dx) I, exceeds membership_tol * s.  Tr_Y J is the sum of
@@ -56,7 +56,9 @@ the same R computed, which decides and is reported on rejection.  A J whose
 norm is not finite (NaN or inf entries, or entries so large that ||J||_F
 overflows) is rejected before either check.  The defect, s and the
 eigenvalues come from J's Hermitian record (``linalg._Hermitian``), which a
-``ChoiMatrix`` keeps, so they are computed once per matrix.
+``ChoiMatrix`` keeps, so they are computed once per matrix.  The zero
+matrix has s = 0, so every tolerance is 0 and it is judged exactly: it lies
+in S.
 
 The first coefficient of any CP+TP Choi matrix equals sqrt(dx/dy), and the
 pairing <I/dx, J> (``order_unit_pairing``) equals 1 exactly on channels.
@@ -96,7 +98,7 @@ __all__ = [
     "order_unit_pairing",
 ]
 
-# Trace-norm threshold, relative to max(1, ||J||_F), separating genuine
+# Trace-norm threshold, relative to ||J||_F, separating genuine
 # non-membership in S (order-1 residuals) from floating-point dust.
 MEMBERSHIP_TOL = 1e-8
 

@@ -10,7 +10,8 @@ import warnings
 
 import numpy as np
 
-from .choi import ChoiMatrix, KrausSet, _exact_choi, _is_integer, check_dims, choi_from_kraus
+from .choi import ChoiMatrix, KrausSet, _built, _exact_choi, _is_integer, check_dims
+from .choi import choi_from_kraus
 from .errors import DomainError, ValidationError
 from .linalg import HERMITICITY_TOL, _Hermitian, _check_tolerance, _mirror_upper, _square, res
 
@@ -94,10 +95,12 @@ def schur_channel(a, cp_tol: float = HERMITICITY_TOL) -> ChoiMatrix:
             NotCompletelyPositiveWarning,
             stacklevel=2,
         )
-    diag_idx = np.arange(d) * d + np.arange(d)
+    # J[x*d + x, x'*d + x'] = a[x, x']; every other entry is zero.  a is
+    # finite, so J is, and its record compares J with J^dag on first use.
     j = np.zeros((d * d, d * d), dtype=complex)
-    j[np.ix_(diag_idx, diag_idx)] = a
-    return ChoiMatrix(dx=d, dy=d, matrix=j)
+    j[:: d + 1, :: d + 1] = a
+    j.setflags(write=False)
+    return _built(ChoiMatrix, dx=d, dy=d, matrix=j)
 
 
 def random_channel(dx: int, dy: int, kraus_rank: int, seed: int) -> ChoiMatrix:
@@ -124,15 +127,11 @@ def random_channel(dx: int, dy: int, kraus_rank: int, seed: int) -> ChoiMatrix:
             f"kraus_rank*dy >= dx (got {kraus_rank}*{dy} < {dx})"
         )
     rng = np.random.default_rng(seed)
-    g = (
-        rng.standard_normal((kraus_rank * dy, dx))
-        + 1j * rng.standard_normal((kraus_rank * dy, dx))
-    ) / np.sqrt(2)
+    shape = (kraus_rank * dy, dx)
+    g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
     q, r = np.linalg.qr(g, mode="reduced")
-    diag = np.diagonal(r).copy()
-    phase = np.ones_like(diag)
-    nz = np.abs(diag) > 0
-    phase[nz] = diag[nz] / np.abs(diag[nz])
-    isometry = q * phase[np.newaxis, :]
-    kraus = isometry.reshape(kraus_rank, dy, dx)
-    return choi_from_kraus(KrausSet(dx=dx, dy=dy, operators=kraus))
+    # g has full column rank (kraus_rank*dy >= dx, Gaussian entries), so no
+    # diagonal entry of r is zero.
+    diag = np.diagonal(r)
+    kraus = (q * (diag / np.abs(diag))).reshape(kraus_rank, dy, dx)
+    return choi_from_kraus(_built(KrausSet, dx=dx, dy=dy, operators=kraus))

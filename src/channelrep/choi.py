@@ -52,12 +52,26 @@ def _is_integer(v) -> bool:
 MAX_ARRAY_BYTES = 2**32
 
 
+def _text(v) -> str:
+    """``f"{v}"``, or for an integer longer than Python prints (its digit
+    limit) its bit length: a message must not fail on the value it names."""
+    try:
+        return f"{v}"
+    except ValueError:
+        return f"<{v.bit_length()}-bit integer>"
+
+
 def check_size(dx: int, dy: int, what: str, nbytes: int) -> None:
     """Raise ``DomainError`` naming the dims, ``what`` and its estimated size
-    when ``nbytes`` is above ``MAX_ARRAY_BYTES``."""
+    when ``nbytes`` is above ``MAX_ARRAY_BYTES``.  A size beyond float range
+    is given as a power of two, from the integer's bit length."""
     if nbytes > MAX_ARRAY_BYTES:
+        try:
+            size = f"about {nbytes / 2**30:,.1f} GiB"
+        except OverflowError:
+            size = f"at least 2^{nbytes.bit_length() - 31} GiB"
         raise _SizeLimitError(
-            f"dims ({dx}, {dy}): {what} would take about {nbytes / 2**30:,.1f} GiB, "
+            f"dims ({_text(dx)}, {_text(dy)}): {what} would take {size}, "
             f"above the size limit of {MAX_ARRAY_BYTES / 2**30:g} GiB"
         )
 
@@ -72,9 +86,12 @@ def check_dims(dx: int, dy: int) -> None:
     """
     for d in (dx, dy):
         if not _is_integer(d) or d < 1:
-            raise DomainError(f"dimensions must be positive integers, got ({dx}, {dy})")
+            raise DomainError(
+                f"dimensions must be positive integers, got ({_text(dx)}, {_text(dy)})"
+            )
     n = dx * dy
-    check_size(dx, dy, f"the {n}x{n} Choi matrix", 16 * n * n)
+    side = _text(n)
+    check_size(dx, dy, f"the {side}x{side} Choi matrix", 16 * n * n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,7 +40,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NOT_IN_SUBSPACE = 3
 
-# Largest trace-norm round-trip error that passes, relative to max(1, ||J||_F).
+# Largest trace-norm round-trip error that passes, relative to ||J||_F.
 ROUNDTRIP_PASS_THRESHOLD = 1e-12
 
 
@@ -89,12 +89,12 @@ def _cmd_combine(args) -> int:
 def _cmd_check(args) -> int:
     j = _load_choi(args.input)
     h = j._hermitian  # the predicates below read this one record of J
-    # Relative to s = max(1, ||J||_F), as in represent and roundtrip, so the
+    # Relative to s = ||J||_F, as in represent and roundtrip, so the
     # verdicts do not depend on units; s refuses a non-finite norm first.
     s = h.scale()
     tol = args.tol * s
     if np.isinf(tol):
-        raise DomainError(f"--tol {args.tol!r} times s = max(1, ||J||_F) = {s!r} overflows")
+        raise DomainError(f"--tol {args.tol!r} times s = ||J||_F = {s!r} overflows")
     cp = is_completely_positive(j, tol=tol)
     tp = is_trace_preserving(j, tol=tol)
     hp = is_hermiticity_preserving(j, tol=tol)

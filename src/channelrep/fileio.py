@@ -200,9 +200,9 @@ def save_matrix_file(path, kind: str, dx: int, dy: int, data) -> None:
     does not match them, and NaN or inf entries.  So does a path that cannot
     be written.
     """
-    if kind not in MATRIX_KINDS:
-        raise FileFormatError(f"kind must be one of {MATRIX_KINDS}, got {kind!r}")
     where = f"cannot write {path}"
+    if kind not in MATRIX_KINDS:
+        raise FileFormatError(f"{where}: kind must be one of {MATRIX_KINDS}, got {kind!r}")
     dx, dy = _require_dims({"dx": dx, "dy": dy}, where)
     shape = _declared_shape(where, kind, dx, dy)
     m = np.asarray(data)

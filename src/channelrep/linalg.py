@@ -108,15 +108,27 @@ def _square(m) -> np.ndarray:
     return m
 
 
+# Columns mirrored at a time by ``_mirror_upper``.
+_PANEL = 64
+
+
 def _mirror_upper(m: np.ndarray) -> np.ndarray:
     """Make the C-contiguous (..., n, n) array ``m`` exactly Hermitian in place.
 
     Each entry below the diagonal becomes the conjugate of its mirror above
     it, and the diagonal is made real; returns ``m``.  Only for matrices the
-    package builds: input data is judged as given, never coerced.
+    package builds: input data is judged as given, never coerced.  It works
+    in panels of ``_PANEL`` columns, so no temporary holds more than n by
+    ``_PANEL`` entries: within a panel's diagonal block under a triangular
+    mask, and below it as the conjugate transpose of the strip beside it.
     """
     n = m.shape[-1]
-    np.copyto(m, m.swapaxes(-1, -2).conj(), where=np.tri(n, k=-1, dtype=bool))
+    lower = np.tri(_PANEL, k=-1, dtype=bool)
+    for i in range(0, n, _PANEL):
+        k = min(i + _PANEL, n)
+        block = m[..., i:k, i:k]
+        np.copyto(block, block.swapaxes(-1, -2).conj(), where=lower[: k - i, : k - i])
+        m[..., k:, i:k] = m[..., i:k, k:].swapaxes(-1, -2).conj()
     m.reshape(m.shape[:-2] + (n * n,))[..., :: n + 1].imag = 0
     return m
 
@@ -155,8 +167,11 @@ class _Hermitian:
             return exact, 0.0 if exact else float(np.abs(self.m - m_dag).max())
 
     def scale(self) -> float:
-        """s = max(1, ||m||_F), the scale the package's tolerances are relative to.
+        """s = ||m||_F, the scale the package's tolerances are relative to.
 
+        With no floor, a verdict does not depend on units below a norm of 1
+        either, and the zero matrix is judged exactly.  (Entries below about
+        1e-154 underflow when squared, so s can be 0 for a nonzero m.)
         Raises ``ValidationError`` when the norm is not finite (a NaN or inf
         entry, or entries so large that it overflows): every tolerance would
         then be NaN or inf.
@@ -165,7 +180,7 @@ class _Hermitian:
             norm = math.sqrt(np.vdot(self.m, self.m).real)
             if not math.isfinite(norm):
                 raise ValidationError(f"matrix has a non-finite Frobenius norm ({norm})")
-            self._scale = max(1.0, norm)
+            self._scale = norm
         return self._scale
 
     def part(self) -> np.ndarray:

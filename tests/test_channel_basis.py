@@ -502,6 +502,22 @@ def test_sperp_direction_rejected_at_any_scale(j, t, scale, seed):
     assert exc_info.value.residual_trace_norm == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("t", [1.0, 1e-4, 1e-8, 1e-10, 1e-100])
+def test_outside_s_rejected_below_unit_norm(t):
+    # diag(1, 0) at dx = 2, dy = 1: its residual trace norm equals its trace
+    # t.  Tolerances relative to max(1, ||J||_F) accepted it below t = 1e-8.
+    with pytest.raises(NotInSubspaceError) as exc_info:
+        represent(get_basis(2, 1), t * np.diag([1.0, 0.0]))
+    assert exc_info.value.residual_trace_norm == pytest.approx(t, rel=1e-12)
+
+
+def test_zero_matrix_is_in_s():
+    # s = ||J||_F = 0, so every tolerance is 0: the zero matrix passes them
+    # exactly, and its coefficients are all zero.
+    assert _Hermitian(np.zeros((4, 4), dtype=complex)).scale() == 0.0
+    assert not represent(get_basis(2, 2), np.zeros((4, 4))).values.any()
+
+
 # Residual shapes for the membership bound ||R||_1 <= sqrt(dx) ||R||_F.  On
 # a traceless +-1 diagonal with even dx the two sides are equal, so a bound
 # without its sqrt(dx) accepts residuals above the tolerance.  A "skew"
@@ -532,17 +548,17 @@ def _planted(dx, dy, shape, scale):
         h -= np.trace(h) / dx * np.eye(dx)
     m = scale * (random_channel(dx, dy, dx * dy, seed=481).matrix + size * kron(np.eye(dy), h))
     if shape.startswith("pairs"):  # lower each upper entry of h, raise its mirror
-        a = 0.45 * HERMITICITY_TOL * max(1.0, np.linalg.norm(m))
+        a = 0.45 * HERMITICITY_TOL * np.linalg.norm(m)
         rows = np.flatnonzero(np.triu(kron(np.eye(dy), h)).any(axis=1))
         m[rows, rows + 1] -= a
         m[rows + 1, rows] += a
     elif shape.endswith("skew"):  # an anti-Hermitian part with max-abs entry 1e-12 * s
         k = rand_complex(rng, m.shape)
         skew = k - k.conj().T
-        m = m + 1e-12 * max(1.0, np.linalg.norm(m)) * skew / np.abs(skew).max()
+        m = m + 1e-12 * np.linalg.norm(m) * skew / np.abs(skew).max()
     resid = ptrace_first_loop(m, dy, dx)
     resid -= np.trace(resid) / dx * np.eye(dx)
-    return m, np.linalg.svd(resid, compute_uv=False).sum(), max(1.0, np.linalg.norm(m))
+    return m, np.linalg.svd(resid, compute_uv=False).sum(), np.linalg.norm(m)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e8])
@@ -579,7 +595,7 @@ def _planted_membership(draw):
     if draw(st.booleans()):
         k = rand_complex(rng, m.shape)
         skew = k - k.conj().T
-        m = m + 0.4 * HERMITICITY_TOL * max(1.0, np.linalg.norm(m)) * skew / np.abs(skew).max()
+        m = m + 0.4 * HERMITICITY_TOL * np.linalg.norm(m) * skew / np.abs(skew).max()
     # The full-matrix rule: Tr_Y J, minus its complex trace / dx on the diagonal.
     r = partial_trace_first(m, dy, dx)
     r.flat[:: dx + 1] -= np.trace(r) / dx

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from fixtures import (
     HADAMARD_CHOI,
     get_basis,
     rand_complex,
+    rand_unitary,
     schur_choi_loop,
 )
 
@@ -262,3 +264,24 @@ def test_unitary_whose_product_overflows_is_refused_without_warning(u):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="matrix is not unitary"):
             unitary_channel(np.array(u))
+
+
+@pytest.mark.parametrize(
+    "construct, bound",
+    [
+        (lambda: unitary_channel(rand_unitary(np.random.default_rng(3), 32)), 1.2),
+        (lambda: random_channel(32, 32, 2, seed=3), 1.2),
+        (lambda: schur_channel(np.eye(32)), 1.1),
+    ],
+    ids=["unitary", "random", "schur"],
+)
+def test_constructors_peak_near_one_choi_matrix(construct, bound):
+    # At d = 32 the Choi matrix takes 16 MiB.  Mirroring in panels and
+    # building J in place keep the peak near that one array, not two.
+    tracemalloc.start()
+    try:
+        j = construct()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * j.matrix.nbytes

@@ -241,6 +241,68 @@ def test_check_verdicts_do_not_depend_on_units(tmp_path, capsys):
         assert lines == {(want, "hp true")}
 
 
+@st.composite
+def _scaled_inputs(draw):
+    """(dx, dy, J, t): a channel, a channel plus a residual outside S, or an
+    element of S that is usually not PSD, and a scale t in [1e-12, 1e8]."""
+    kind = draw(st.sampled_from(["channel", "outside S", "in S"]))
+    dx, dy = draw(st.integers(2 if kind == "outside S" else 1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = random_channel(dx, dy, dx * dy, seed=int(rng.integers(2**31))).matrix
+    if kind == "outside S":
+        h = rand_hermitian(rng, dx)
+        h -= np.trace(h) / dx * np.eye(dx)
+        m = m + 0.3 * kron(np.eye(dy), h / np.linalg.norm(h))
+    elif kind == "in S":
+        m = combine(channel_basis(dx, dy), rng.standard_normal(subspace_dimension(dx, dy))).matrix
+    return dx, dy, m, 10.0 ** draw(st.floats(-12, 8))
+
+
+def _verdicts(tmp, dx, dy, m) -> tuple:
+    """The exit codes of represent and roundtrip on the Choi file of m, and
+    the cp and hp lines that check prints for it."""
+    inp = os.path.join(tmp, "j.json")
+    save_matrix_file(inp, "choi", dx, dy, m)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        represented = main(["represent", inp, "--output", os.path.join(tmp, "v.json")])
+        main(["check", inp])
+        check_lines = stdout.getvalue().splitlines()
+        roundtrip = main(["roundtrip", inp])
+    cp, hp = (line for line in check_lines if line.startswith(("cp ", "hp ")))
+    return represented, cp, hp, roundtrip
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_scaled_inputs())
+def test_verdicts_do_not_depend_on_scale(case):
+    # s = ||J||_F with no floor: below ||J||_F = 1 the verdicts of t * J
+    # are those of J too.  TP is excepted: a scaled channel is not TP.
+    dx, dy, m, t = case
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _verdicts(tmp, dx, dy, t * m) == _verdicts(tmp, dx, dy, m)
+
+
+def test_check_judges_a_tiny_matrix_by_its_own_norm(tmp_path, capsys):
+    # 1e-12 * diag(1, -1) at dx = 1, dy = 2 is not CP at any scale; a
+    # tolerance relative to max(1, ||J||_F) printed "cp true" for it.
+    inp = tmp_path / "tiny.json"
+    save_matrix_file(inp, "choi", 1, 2, 1e-12 * np.diag([1.0, -1.0]))
+    assert main(["check", str(inp)]) == 1
+    assert capsys.readouterr().out.splitlines()[:3] == ["cp false", "tp false", "hp true"]
+
+
+def test_zero_matrix_is_judged_exactly(tmp_path, capsys):
+    # s = 0: the zero matrix is in S, is PSD and Hermitian, and round-trips
+    # with error exactly 0; it is not TP.
+    inp = tmp_path / "zero.json"
+    save_matrix_file(inp, "choi", 2, 2, np.zeros((4, 4)))
+    assert main(["check", str(inp)]) == 1
+    assert capsys.readouterr().out.splitlines()[:3] == ["cp true", "tp false", "hp true"]
+    assert main(["roundtrip", str(inp)]) == 0
+    assert capsys.readouterr().out == "0.0000000000000000e+00\n"
+
+
 def test_roundtrip_not_in_subspace_exit_3(tmp_path, capsys):
     j = kron(np.eye(2), np.diag([1.0, -1.0]))
     inp = tmp_path / "perp.json"
@@ -287,7 +349,7 @@ def test_check_tol_times_scale_overflow_exit_2(tmp_path, capsys):
     assert main(["check", str(inp), "--tol", "1e300"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --tol 1e+300 times s = max(1, ||J||_F) = 10000000000.0 overflows\n"
+    assert captured.err == "error: --tol 1e+300 times s = ||J||_F = 10000000000.0 overflows\n"
 
 
 def test_parse_failure_exit_2(tmp_path, capsys):

@@ -325,6 +325,11 @@ def test_writers_golden_bytes(tmp_path, save, args, expected):
         (save_vector_file, (1, 1, [np.nan]), "non-finite values"),
         (save_vector_file, (1.9, 1, [1.0]), "dx/dy must be positive integers"),
         (save_matrix_file, ("choi", True, 2.5, np.eye(2)), "dx/dy must be positive integers"),
+        (
+            save_matrix_file,
+            ("lindblad", 2, 2, np.eye(4)),
+            "kind must be one of ('choi', 'unitary', 'correlation', 'kraus'), got 'lindblad'",
+        ),
     ],
 )
 def test_writers_refuse_what_loaders_refuse(tmp_path, save, args, message):

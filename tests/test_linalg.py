@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from channelrep import DimensionError
 from channelrep.linalg import (
     _Hermitian,
+    _mirror_upper,
     hermiticity_defect,
     hs_inner,
     is_hermitian,
@@ -362,3 +363,17 @@ def test_hermitian_part_matches_sum_then_halve():
 def test_psd_test_non_square():
     with pytest.raises(DimensionError):
         is_positive_semidefinite(np.zeros((2, 3)), 1e-10)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (2, 2), (63, 63), (64, 64), (65, 65), (200, 200), (3, 70, 70), (2, 2, 5, 5)]
+)
+def test_mirror_in_panels_equals_the_whole_matrix_mirror(shape):
+    # Panels of 64 columns: a single one, an exact fit, a one-column tail,
+    # several with a ragged tail, and stacks.
+    m = rand_complex(np.random.default_rng(len(shape) * 1000 + shape[-1]), shape)
+    n = shape[-1]
+    want = m.copy()
+    np.copyto(want, want.swapaxes(-1, -2).conj(), where=np.tri(n, k=-1, dtype=bool))
+    want.reshape(shape[:-2] + (n * n,))[..., :: n + 1].imag = 0
+    assert _mirror_upper(m).tobytes() == want.tobytes()

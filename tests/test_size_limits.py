@@ -151,3 +151,39 @@ def test_cli_refuses_with_exit_2_and_one_error_line(tmp_path, capsys, argv, what
     [line] = captured.err.splitlines()
     assert line.startswith("error: dims (") and what in line and "size limit of 4 GiB" in line
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "d, gib, prefix",
+    [
+        (10**400, 2631, "dims (1" + "0" * 400 + ", 1): the 1" + "0" * 400 + "x1"),
+        # Python may refuse to print an integer of 5001 digits; the refusal
+        # must come all the same, naming it by its bit length if need be.
+        (10**5000, 33193, "dims ("),
+    ],
+    ids=["10**400", "10**5000"],
+)
+def test_dims_beyond_float_range_are_refused(d, gib, prefix):
+    # 16 d^2 bytes is beyond float range in GiB, so the size is given as a
+    # power of two: 16 * 10**800 bytes is at least 2^2661 bytes.
+    suffix = f" Choi matrix would take at least 2^{gib} GiB, above the size limit of 4 GiB"
+    assert _refused_up_front(lambda: channel_basis(d, 1)).startswith(prefix)
+    for call in (lambda: channel_basis(d, 1), lambda: check_dims(1, d)):
+        assert _refused_up_front(call).endswith(suffix)
+
+
+def test_a_dim_too_long_to_print_is_refused_as_not_positive():
+    message = _refused_up_front(lambda: check_dims(0, 10**5000))
+    assert message.startswith("dimensions must be positive integers, got (0, ")
+
+
+def test_a_file_with_dims_beyond_float_range_exits_2(tmp_path, capsys):
+    # dx = 10**400 in a kraus file once raised OverflowError with a traceback.
+    inp = tmp_path / "huge.json"
+    inp.write_text('{"kind": "kraus", "dx": 1' + "0" * 400 + ', "dy": 1, "data": [[[[1, 0]]]]}')
+    assert main(["check", str(inp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {inp}: dims (1000")
+    assert line.endswith("would take at least 2^2631 GiB, above the size limit of 4 GiB")
