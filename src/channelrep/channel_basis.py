@@ -80,6 +80,7 @@ from .linalg import (
     HERMITICITY_TOL,
     _Hermitian,
     _check_tolerance,
+    _norm,
     kron,
     trace_norm,
 )
@@ -256,14 +257,17 @@ class HermitianBasis:
 def hermitian_basis(d: int) -> HermitianBasis:
     """The canonical orthonormal Hermitian basis for dimension ``d``.
 
-    Its elements are those of ``channel_basis(1, d)``, in the same order;
-    for d = 1 the basis degenerates to the single matrix [[1]].
+    Its elements and labels are those of ``channel_basis(1, d)``, in the same
+    order, with the labels renamed; for d = 1 the basis degenerates to the
+    single matrix [[1]].
     """
-    elements = channel_basis(1, d).elements
-    labels: list[tuple] = [("identity",)] + [("diagonal", k) for k in range(1, d)]
-    for a, b in combinations(range(d), 2):
-        labels += [("sym", a, b), ("antisym", a, b)]
-    return HermitianBasis(dim=d, elements=elements, labels=tuple(labels))
+    basis = channel_basis(1, d)
+    elements = basis.elements  # refused above the size limit before any label is built
+    # Every input index is 0 at dx = 1: ("diag_proj", k, 0) becomes
+    # ("diagonal", k) and ("pair_sym", a, 0, b, 0) becomes ("sym", a, b).
+    names = {"diag_proj": "diagonal", "pair_sym": "sym", "pair_antisym": "antisym"}
+    labels = tuple((names.get(name, name), *rest[::2]) for name, *rest in basis.labels)
+    return HermitianBasis(dim=d, elements=elements, labels=labels)
 
 
 def sperp_basis(dx: int, dy: int) -> np.ndarray:
@@ -384,7 +388,7 @@ def represent(
     r = resid.view(complex)
     diag = r[:: basis.dx + 1]
     diag -= diag.sum() / basis.dx
-    if math.sqrt(basis.dx * (resid @ resid)) > tol:
+    if _norm(resid, resid @ resid, basis.dx) > tol:
         resid_norm = trace_norm(r.reshape(basis.dx, basis.dx))
         if resid_norm > tol:
             raise NotInSubspaceError(resid_norm)

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 
-from .choi import ChoiMatrix, KrausSet, _built, _exact_choi, _is_integer, check_dims
+from .choi import ChoiMatrix, KrausSet, _built, _exact_choi, _is_integer, _text, check_dims
 from .choi import choi_from_kraus
 from .errors import DomainError, ValidationError
 from .linalg import HERMITICITY_TOL, _Hermitian, _check_tolerance, _mirror_upper, _square, res
@@ -117,10 +117,10 @@ def random_channel(dx: int, dy: int, kraus_rank: int, seed: int) -> ChoiMatrix:
     if not _is_integer(kraus_rank) or not 1 <= kraus_rank <= dx * dy:
         raise DomainError(
             f"kraus_rank must be an integer in [1, {dx * dy}] for dims ({dx}, {dy}), "
-            f"got {kraus_rank!r}"
+            f"got {_text(kraus_rank, repr)}"
         )
     if not _is_integer(seed) or seed < 0:
-        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+        raise DomainError(f"seed must be an integer >= 0, got {_text(seed, repr)}")
     if kraus_rank * dy < dx:
         raise DomainError(
             f"kraus_rank {kraus_rank} is too small: a trace-preserving map needs "

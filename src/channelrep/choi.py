@@ -52,11 +52,12 @@ def _is_integer(v) -> bool:
 MAX_ARRAY_BYTES = 2**32
 
 
-def _text(v) -> str:
-    """``f"{v}"``, or for an integer longer than Python prints (its digit
-    limit) its bit length: a message must not fail on the value it names."""
+def _text(v, form=format) -> str:
+    """``form(v)`` (by default ``f"{v}"``), or for an integer longer than
+    Python prints (its digit limit) its bit length: a message must not fail
+    on the value it names."""
     try:
-        return f"{v}"
+        return form(v)
     except ValueError:
         return f"<{v.bit_length()}-bit integer>"
 

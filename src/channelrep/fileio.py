@@ -107,16 +107,21 @@ def _require_dims(doc: dict, what: str) -> tuple[int, int]:
     return int(dx), int(dy)
 
 
-def _declared_shape(where: str, kind: str, dx: int, dy: int) -> tuple[int, int]:
-    """Shape of each matrix of a ``kind`` file for (dx, dy)."""
+def _header(where: str, kind, doc: dict) -> tuple[int, int, tuple[int, int]]:
+    """dx, dy and the shape of each matrix of a ``kind`` file whose fields are
+    ``doc``: the kind is checked first, then the dims (``_require_dims``),
+    then the shape rule of the kind."""
+    if kind not in MATRIX_KINDS:
+        raise FileFormatError(f"{where}: kind must be one of {MATRIX_KINDS}, got {kind!r}")
+    dx, dy = _require_dims(doc, where)
     if kind == "choi":
-        return (dy * dx, dy * dx)
+        return dx, dy, (dy * dx, dy * dx)
     if kind == "kraus":
-        return (dy, dx)
+        return dx, dy, (dy, dx)
     # unitary and correlation matrices are square on a single space
     if dx != dy:
         raise FileFormatError(f"{where}: kind {kind!r} requires dx == dy")
-    return (dx, dx)
+    return dx, dy, (dx, dx)
 
 
 def _check_data(where: str, kind: str, shape: tuple, m: np.ndarray) -> None:
@@ -160,10 +165,7 @@ def load_matrix_file(path) -> MatrixFile:
     """Parse and validate a matrix file."""
     doc = _read_json(path, "matrix")
     kind = doc.get("kind")
-    if kind not in MATRIX_KINDS:
-        raise FileFormatError(f"{path}: kind must be one of {MATRIX_KINDS}, got {kind!r}")
-    dx, dy = _require_dims(doc, str(path))
-    shape = _declared_shape(str(path), kind, dx, dy)
+    dx, dy, shape = _header(str(path), kind, doc)
     m = _decode(doc.get("data"), str(path), 4 if kind == "kraus" else 3)
     _check_data(str(path), kind, shape, m)
     return MatrixFile(kind=kind, dx=dx, dy=dy, data=m)
@@ -201,10 +203,7 @@ def save_matrix_file(path, kind: str, dx: int, dy: int, data) -> None:
     be written.
     """
     where = f"cannot write {path}"
-    if kind not in MATRIX_KINDS:
-        raise FileFormatError(f"{where}: kind must be one of {MATRIX_KINDS}, got {kind!r}")
-    dx, dy = _require_dims({"dx": dx, "dy": dy}, where)
-    shape = _declared_shape(where, kind, dx, dy)
+    dx, dy, shape = _header(where, kind, {"dx": dx, "dy": dy})
     m = np.asarray(data)
     _check_data(where, kind, shape, m)
     _write_json(path, {"kind": kind, "dx": dx, "dy": dy, "data": _encode_matrix(m)})

@@ -39,6 +39,22 @@ def _check_tolerance(tol: float) -> float:
     return tol
 
 
+# The smallest normal float: a sum of squares below it may have underflowed.
+_TINY = np.finfo(float).tiny
+
+
+def _norm(a: np.ndarray, sumsq: float, weight: int = 1) -> float:
+    """sqrt(weight * sumsq), where ``sumsq`` is the plain sum of |a|^2.
+
+    Entries below about 1e-154 square to 0, so a sum below the normal range
+    may have lost a nonzero ``a``: it is then summed again, with ``a`` scaled
+    by its largest |entry|.  In the normal range this is ``sqrt`` alone.
+    """
+    if sumsq < _TINY and (big := np.abs(a).max(initial=0.0)) > 0:
+        return float(big * math.sqrt(weight * np.square(np.abs(a) / big).sum()))
+    return math.sqrt(weight * sumsq)
+
+
 def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
@@ -170,14 +186,14 @@ class _Hermitian:
         """s = ||m||_F, the scale the package's tolerances are relative to.
 
         With no floor, a verdict does not depend on units below a norm of 1
-        either, and the zero matrix is judged exactly.  (Entries below about
-        1e-154 underflow when squared, so s can be 0 for a nonzero m.)
-        Raises ``ValidationError`` when the norm is not finite (a NaN or inf
-        entry, or entries so large that it overflows): every tolerance would
-        then be NaN or inf.
+        either, and the zero matrix is judged exactly; entries whose squares
+        underflow still give their norm (``_norm``).  Raises
+        ``ValidationError`` when the norm is not finite (a NaN or inf entry,
+        or entries so large that it overflows): every tolerance would then be
+        NaN or inf.
         """
         if self._scale is None:
-            norm = math.sqrt(np.vdot(self.m, self.m).real)
+            norm = _norm(self.m, np.vdot(self.m, self.m).real)
             if not math.isfinite(norm):
                 raise ValidationError(f"matrix has a non-finite Frobenius norm ({norm})")
             self._scale = norm

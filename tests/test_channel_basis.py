@@ -502,13 +502,20 @@ def test_sperp_direction_rejected_at_any_scale(j, t, scale, seed):
     assert exc_info.value.residual_trace_norm == pytest.approx(want, rel=1e-9)
 
 
-@pytest.mark.parametrize("t", [1.0, 1e-4, 1e-8, 1e-10, 1e-100])
+@pytest.mark.parametrize("t", [1.0, 1e-4, 1e-8, 1e-10, 1e-100, 1e-160, 1e-170, 1e-300])
 def test_outside_s_rejected_below_unit_norm(t):
     # diag(1, 0) at dx = 2, dy = 1: its residual trace norm equals its trace
-    # t.  Tolerances relative to max(1, ||J||_F) accepted it below t = 1e-8.
+    # t.  Tolerances relative to max(1, ||J||_F) accepted it below t = 1e-8,
+    # and norms summed from plain squares, which underflow, at t = 1e-170.
     with pytest.raises(NotInSubspaceError) as exc_info:
         represent(get_basis(2, 1), t * np.diag([1.0, 0.0]))
     assert exc_info.value.residual_trace_norm == pytest.approx(t, rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [1.0, 1e-150, 1e-170, 1e-300])
+def test_scale_is_the_norm_where_squares_underflow(t):
+    m = random_channel(2, 3, 2, seed=3).matrix
+    assert _Hermitian(t * m).scale() == pytest.approx(t * np.linalg.norm(m), rel=1e-14, abs=0)
 
 
 def test_zero_matrix_is_in_s():

@@ -204,6 +204,9 @@ def test_random_channel_parameter_validation():
         (2, True, "seed must be an integer >= 0, got True"),
         (2, -1, "seed must be an integer >= 0, got -1"),
         (2, np.int64(-1), "seed must be an integer >= 0, got "),
+        # Longer than Python prints (4300 digits): named by the bit length.
+        pytest.param(10**5000, 1, "kraus_rank .*, got <16610-bit integer>", id="huge rank"),
+        pytest.param(1, -(10**5000), "seed .*, got <16610-bit integer>", id="huge seed"),
     ],
 )
 def test_random_channel_refuses_non_integer_rank_and_seed(rank, seed, match):

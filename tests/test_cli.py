@@ -244,7 +244,7 @@ def test_check_verdicts_do_not_depend_on_units(tmp_path, capsys):
 @st.composite
 def _scaled_inputs(draw):
     """(dx, dy, J, t): a channel, a channel plus a residual outside S, or an
-    element of S that is usually not PSD, and a scale t in [1e-12, 1e8]."""
+    element of S that is usually not PSD, and a scale t in [1e-300, 1e8]."""
     kind = draw(st.sampled_from(["channel", "outside S", "in S"]))
     dx, dy = draw(st.integers(2 if kind == "outside S" else 1, 3)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -255,7 +255,7 @@ def _scaled_inputs(draw):
         m = m + 0.3 * kron(np.eye(dy), h / np.linalg.norm(h))
     elif kind == "in S":
         m = combine(channel_basis(dx, dy), rng.standard_normal(subspace_dimension(dx, dy))).matrix
-    return dx, dy, m, 10.0 ** draw(st.floats(-12, 8))
+    return dx, dy, m, 10.0 ** draw(st.floats(-300, 8))
 
 
 def _verdicts(tmp, dx, dy, m) -> tuple:
@@ -290,6 +290,17 @@ def test_check_judges_a_tiny_matrix_by_its_own_norm(tmp_path, capsys):
     save_matrix_file(inp, "choi", 1, 2, 1e-12 * np.diag([1.0, -1.0]))
     assert main(["check", str(inp)]) == 1
     assert capsys.readouterr().out.splitlines()[:3] == ["cp false", "tp false", "hp true"]
+
+
+def test_channel_whose_squares_underflow_is_judged_as_a_channel(tmp_path, capsys):
+    # Entries of about 1e-170 square to 0: a norm summed from plain squares
+    # read s = 0, so roundtrip failed and check printed "cp false".
+    inp = tmp_path / "tiny.json"
+    save_matrix_file(inp, "choi", 2, 2, 1e-170 * random_channel(2, 2, 2, seed=1).matrix)
+    assert main(["roundtrip", str(inp)]) == 0
+    capsys.readouterr()
+    assert main(["check", str(inp)]) == 1
+    assert capsys.readouterr().out.splitlines()[:3] == ["cp true", "tp false", "hp true"]
 
 
 def test_zero_matrix_is_judged_exactly(tmp_path, capsys):
