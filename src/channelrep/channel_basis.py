@@ -74,13 +74,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .choi import ChoiMatrix, _built, _exact_choi, _finite_read_only, check_dims, check_size
+from .choi import ChoiMatrix, _built, _exact_choi, _finite_read_only, _owned, check_dims, check_size
 from .errors import DimensionError, NotInSubspaceError, ValidationError
 from .linalg import (
     HERMITICITY_TOL,
     _Hermitian,
     _check_tolerance,
     _norm,
+    _numbers,
     kron,
     trace_norm,
 )
@@ -227,7 +228,7 @@ class CoefficientVector:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
+        vals = _owned(self.values, _numbers(self.values, float, "coefficient vector"))
         expected = subspace_dimension(self.dx, self.dy)
         if vals.shape != (expected,):
             raise DimensionError(
@@ -351,7 +352,7 @@ def _coerce_choi(basis: ChannelBasis, j) -> _Hermitian:
     if isinstance(j, ChoiMatrix):
         _check_basis_dims(basis, "Choi", j.dx, j.dy)
         return j._hermitian
-    m = np.asarray(j, dtype=complex)
+    m = _numbers(j)
     n = basis.dx * basis.dy
     if m.shape != (n, n):
         raise DimensionError(f"expected a {n}x{n} matrix, got {m.shape}")

@@ -26,6 +26,7 @@ from .linalg import (
     _Hermitian,
     _check_tolerance,
     _mirror_upper,
+    _numbers,
     partial_trace_first,
 )
 
@@ -112,7 +113,7 @@ class ChoiMatrix:
 
     def __post_init__(self):
         check_dims(self.dx, self.dy)
-        m = np.array(self.matrix, dtype=complex, order="C")
+        m = _owned(self.matrix, _numbers(self.matrix, complex, "Choi matrix"))
         side = self.dx * self.dy
         if m.shape != (side, side):
             raise DimensionError(
@@ -124,6 +125,13 @@ class ChoiMatrix:
     @cached_property
     def _hermitian(self) -> _Hermitian:
         return _Hermitian(self.matrix)
+
+
+def _owned(data, a: np.ndarray) -> np.ndarray:
+    """``a``, the array ``_numbers`` read from ``data``, as a C-ordered array
+    no one else holds: copied only when ``_numbers`` returned ``data`` itself
+    or an array in another order."""
+    return a.copy(order="C") if a is data else np.ascontiguousarray(a)
 
 
 def _finite_read_only(a: np.ndarray, message="Choi matrix contains non-finite entries"):
@@ -166,12 +174,8 @@ class KrausSet:
 
     def __post_init__(self):
         check_dims(self.dx, self.dy)
-        try:
-            ops = np.asarray(self.operators, dtype=complex)
-        except ValueError as exc:
-            raise DimensionError(f"Kraus operators have inconsistent shapes: {exc}") from exc
-        if ops.ndim == 2:
-            ops = ops[np.newaxis]
+        ops = _owned(self.operators, _numbers(self.operators, complex, "Kraus operators"))
+        ops = ops[np.newaxis] if ops.ndim == 2 else ops
         if ops.ndim != 3 or ops.shape[0] == 0:
             raise DimensionError("operators must be a nonempty list of matrices")
         if ops.shape[1:] != (self.dy, self.dx):
@@ -180,7 +184,7 @@ class KrausSet:
                 f"got shape {ops.shape[1:]}"
             )
         message = "Kraus operators contain non-finite entries"
-        object.__setattr__(self, "operators", _finite_read_only(ops.copy(), message))
+        object.__setattr__(self, "operators", _finite_read_only(ops, message))
 
     def __len__(self) -> int:
         return self.operators.shape[0]
@@ -201,7 +205,7 @@ def choi_from_kraus(k: KrausSet) -> ChoiMatrix:
 
 def apply_channel(j: ChoiMatrix, x) -> np.ndarray:
     """Apply the map encoded by ``j`` to a dx x dx matrix."""
-    x = np.asarray(x, dtype=complex)
+    x = _numbers(x, complex, "input")
     if x.shape != (j.dx, j.dx):
         raise DimensionError(f"input must be {j.dx}x{j.dx}, got {x.shape}")
     jr = j.matrix.reshape(j.dy, j.dx, j.dy, j.dx)

@@ -21,7 +21,8 @@ import numpy as np
 from .channel_basis import ChannelBasis, CoefficientVector, subspace_dimension
 from .choi import ChoiMatrix, KrausSet, _built, check_dims, check_size, choi_from_kraus
 from .channels import schur_channel, unitary_channel
-from .errors import DomainError, FileFormatError, _SizeLimitError
+from .errors import DimensionError, DomainError, FileFormatError, ValidationError, _SizeLimitError
+from .linalg import _numbers
 
 __all__ = [
     "MATRIX_KINDS",
@@ -48,9 +49,8 @@ class MatrixFile:
 
 
 def _encode_matrix(m: np.ndarray) -> list:
-    """Nested lists of ``[re, im]`` pairs, read off a float view of ``m``."""
-    m = np.ascontiguousarray(m, dtype=complex)
-    return m.view(float).reshape(m.shape + (2,)).tolist()
+    """Nested lists of ``[re, im]`` pairs, read off a float view of the complex ``m``."""
+    return np.ascontiguousarray(m).view(float).reshape(m.shape + (2,)).tolist()
 
 
 # What ``_decode`` reads at each depth: the field, and the layout it must have.
@@ -61,6 +61,15 @@ _LAYOUTS = {
 }
 
 
+def _file_numbers(data, dtype, where: str, field: str) -> np.ndarray:
+    """``linalg._numbers`` on ``data``, the ``field`` of a file at ``where``,
+    with each refusal a ``FileFormatError`` that names the field."""
+    try:
+        return _numbers(data, dtype, field)
+    except (DimensionError, ValidationError) as exc:
+        raise FileFormatError(f"{where}: {exc}") from None
+
+
 def _decode(data, where: str, depth: int) -> np.ndarray:
     """The numbers of a parsed JSON array ``data``, nested ``depth`` levels deep.
 
@@ -69,10 +78,11 @@ def _decode(data, where: str, depth: int) -> np.ndarray:
     pairs and give a complex array one level shallower.  One object-array
     conversion reads the whole structure: ragged rows, entries that are not
     pairs, empty matrices and data that is not a list come out with too few
-    levels or a last axis other than 2, and anything but a JSON number
-    (``true``, ``false``, ``null``, a string) is a leaf of the wrong type.
-    Empty ``values`` decode, and the length check refuses them.  Every
-    refusal is a ``FileFormatError``.
+    levels or a last axis other than 2.  The leaves are then read by the
+    package's one number rule, ``linalg._numbers``: anything but a JSON
+    number (``true``, ``false``, ``null``, a string) is refused, and so is an
+    integer beyond float range.  Empty ``values`` decode, and the length
+    check refuses them.  Every refusal is a ``FileFormatError``.
     """
     field, layout = _LAYOUTS[depth]
     malformed = FileFormatError(f"{where}: {field} must be {layout}")
@@ -82,12 +92,7 @@ def _decode(data, where: str, depth: int) -> np.ndarray:
         raise malformed from None
     if a.ndim != depth or (depth > 1 and a.shape[-1] != 2):
         raise malformed
-    if not set(map(type, a.reshape(-1))) <= {int, float}:  # bool is not an int here
-        raise FileFormatError(f"{where}: {field} must contain only numbers")
-    try:
-        a = a.astype(float)
-    except OverflowError:  # an integer beyond float range, as non-finite as 1e400
-        raise FileFormatError(f"{where}: non-finite {field}") from None
+    a = _file_numbers(a, float, where, field)
     if not np.isfinite(a).all():
         raise FileFormatError(f"{where}: non-finite {field}")
     return a if depth == 1 else a.view(complex)[..., 0]
@@ -198,13 +203,14 @@ def save_matrix_file(path, kind: str, dx: int, dy: int, data) -> None:
 
     What ``load_matrix_file`` would refuse raises ``FileFormatError`` and
     writes nothing: dims that ``check_dims`` refuses (they are never rounded
-    or converted; numpy integers are written as JSON integers), a shape that
-    does not match them, and NaN or inf entries.  So does a path that cannot
-    be written.
+    or converted; numpy integers are written as JSON integers), data that
+    ``linalg._numbers`` refuses (``bool``, strings, ``None``, integers beyond
+    float range, ragged rows), a shape that does not match the dims, and NaN
+    or inf entries.  So does a path that cannot be written.
     """
     where = f"cannot write {path}"
     dx, dy, shape = _header(where, kind, {"dx": dx, "dy": dy})
-    m = np.asarray(data)
+    m = _file_numbers(data, complex, where, "data")
     _check_data(where, kind, shape, m)
     _write_json(path, {"kind": kind, "dx": dx, "dy": dy, "data": _encode_matrix(m)})
 
@@ -228,12 +234,13 @@ def save_vector_file(path, dx: int, dy: int, values) -> None:
     """Write a coefficient-vector file with full precision.
 
     As for ``save_matrix_file``, what ``load_vector_file`` would refuse
-    (bad dims, a length other than dim(S), NaN or inf values) and an
-    unwritable path raise ``FileFormatError`` and write nothing.
+    (bad dims, values that are not numbers, a length other than dim(S), NaN
+    or inf values) and an unwritable path raise ``FileFormatError`` and
+    write nothing.
     """
     where = f"cannot write {path}"
     dx, dy = _require_dims({"dx": dx, "dy": dy}, where)
-    values = np.asarray(values, dtype=float)
+    values = _file_numbers(values, float, where, "values")
     if values.ndim != 1:
         raise FileFormatError(f"{where}: values must be a list of numbers")
     _check_length(where, dx, dy, len(values))

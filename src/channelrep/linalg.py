@@ -1,7 +1,8 @@
 """Dense complex matrix primitives used by every other module.
 
 All functions are pure and operate on plain ``numpy`` arrays of complex
-dtype.  Vectorization is row-major throughout; tensor products put the
+dtype.  Every array a caller hands the package, here or in any other module,
+is read by one rule, ``_numbers``.  Vectorization is row-major throughout; tensor products put the
 output (Y) factor first.
 """
 
@@ -55,14 +56,48 @@ def _norm(a: np.ndarray, sumsq: float, weight: int = 1) -> float:
     return math.sqrt(weight * sumsq)
 
 
-def _as_complex(a) -> np.ndarray:
-    return np.asarray(a, dtype=complex)
+# The leaf types ``_numbers`` reads for each target dtype; ``bool``, an ``int``
+# subclass, is refused apart.
+_LEAVES = {float: (int, float, np.integer, np.floating), complex: (int, float, complex, np.number)}
+
+
+def _numbers(data, dtype=complex, what: str = "matrix") -> np.ndarray:
+    """``data`` as an array of ``dtype`` (``float`` or ``complex``): the one
+    rule for the values of every array a caller hands the package.
+
+    A numpy array of integers or floats (or complex numbers, for a complex
+    ``dtype``) passes on its dtype alone, and one of ``dtype`` itself is
+    returned as is, not copied.  Anything else is read as an object array,
+    each leaf of which must be an ``int``, a ``float``, a ``complex`` (for a
+    complex ``dtype``) or a numpy number of those kinds: ``bool``,
+    ``numpy.bool_``, strings, ``None`` and other objects raise
+    ``ValidationError("{what} must contain only numbers")``, and an integer
+    beyond float range raises ``ValidationError("non-finite {what}")``.
+    Ragged data, which numpy will not hold as objects or whose leaves are
+    themselves lists or arrays, raises ``DimensionError``.  Finiteness is
+    the caller's rule: NaN and inf pass.
+    """
+    if type(data) is np.ndarray and data.dtype.kind in ("iufc" if dtype is complex else "iuf"):
+        return data if data.dtype == dtype else data.astype(dtype)
+    try:
+        a = np.asarray(data, dtype=object)
+    except ValueError:  # ragged lists that an older numpy will not hold as objects
+        types = {list}
+    else:
+        types = set(map(type, a.reshape(-1)))
+    if any(issubclass(t, (list, tuple, np.ndarray)) for t in types):  # a nested leaf
+        raise DimensionError(f"ragged {what}")
+    if bool in types or not all(issubclass(t, _LEAVES[dtype]) for t in types):
+        raise ValidationError(f"{what} must contain only numbers")
+    try:
+        return a.astype(dtype)
+    except OverflowError:  # an integer beyond float range, as non-finite as 1e400
+        raise ValidationError(f"non-finite {what}") from None
 
 
 def hs_inner(a, b) -> complex:
     """Hilbert-Schmidt inner product trace(a^dag b), conjugate-linear in ``a``."""
-    a = _as_complex(a)
-    b = _as_complex(b)
+    a, b = _numbers(a), _numbers(b)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
     return complex(np.vdot(a, b))
@@ -70,7 +105,7 @@ def hs_inner(a, b) -> complex:
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product with (a x b)[i*rb+k, j*cb+l] = a[i,j] b[k,l]."""
-    return np.kron(_as_complex(a), _as_complex(b))
+    return np.kron(_numbers(a), _numbers(b))
 
 
 def partial_trace_first(m, dim_first: int, dim_second: int) -> np.ndarray:
@@ -79,7 +114,7 @@ def partial_trace_first(m, dim_first: int, dim_second: int) -> np.ndarray:
     Returns the dim_second x dim_second matrix R with
     R[i, j] = sum_k m[k*dim_second + i, k*dim_second + j].
     """
-    m = _as_complex(m)
+    m = _numbers(m)
     side = dim_first * dim_second
     if m.shape != (side, side):
         raise DimensionError(
@@ -98,7 +133,7 @@ def trace_norm(m) -> float:
     n * eps * ||m||_2.  Anything else (a stack, a non-square or a
     non-Hermitian matrix) is summed from its SVD.
     """
-    m = _as_complex(m)
+    m = _numbers(m)
     if m.size == 0:
         return 0.0
     if m.ndim == 2 and m.shape[0] == m.shape[1]:
@@ -114,11 +149,11 @@ def res(a) -> np.ndarray:
     For any matrix u, the outer product res(u) res(u)^dag is the Choi matrix
     of the conjugation map x -> u x u^dag.
     """
-    return _as_complex(a).reshape(-1)
+    return _numbers(a).reshape(-1)
 
 
 def _square(m) -> np.ndarray:
-    m = _as_complex(m)
+    m = _numbers(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     return m

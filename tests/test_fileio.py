@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from channelrep import (
+    ChannelRepError,
+    ChoiMatrix,
     CoefficientVector,
     FileFormatError,
     KrausSet,
@@ -28,7 +30,8 @@ from channelrep.fileio import (
     save_vector_file,
 )
 
-from fixtures import CORRELATION_2DP, HADAMARD, MALFORMED_FILES, rand_complex, reference_load
+from fixtures import CORRELATION_2DP, HADAMARD, MALFORMED_FILES, _is_json_number, rand_complex
+from fixtures import reference_load
 
 
 def test_choi_matrix_round_trip(tmp_path):
@@ -436,3 +439,64 @@ def test_decode_matches_the_per_entry_reference(case):
     assert expected is not None, text
     assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
     assert got.tobytes() == expected.tobytes(), text
+
+
+@st.composite
+def _values(draw):
+    """(kind, dx, dy, data): regular data of the shape a vector, a Choi
+    matrix or a Kraus stack needs at dims (dx, dy), every leaf a number,
+    then with up to two leaves replaced by odd ones."""
+    kind = draw(st.sampled_from(["vector", "choi", "kraus"]))
+    dx, dy = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    shape = {
+        "vector": [dx * dx * dy * dy - dx * dx + 1],
+        "choi": [dx * dy, dx * dy],
+        "kraus": [draw(st.integers(1, 2)), dy, dx],
+    }[kind]
+    data = np.empty(shape, dtype=object)
+    for index in np.ndindex(*shape):
+        data[index] = draw(_NUMBERS)
+    for _ in range(draw(st.integers(0, 2))):
+        data[tuple(draw(st.integers(0, n - 1)) for n in shape)] = draw(_ODD_LEAVES)
+    return kind, dx, dy, data.tolist()
+
+
+def _leaves(data):
+    return [x for row in data for x in _leaves(row)] if isinstance(data, list) else [data]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_values())
+def test_every_entry_point_reads_numbers_as_the_loaders_do(case):
+    # The constructors and the writers refuse exactly the data whose leaves
+    # the per-entry reference refuses: a leaf that is not a JSON number, an
+    # integer beyond float range, NaN or inf.  What they accept is exactly
+    # np.array(data, dtype), bit for bit.
+    kind, dx, dy, data = case
+    dtype = float if kind == "vector" else complex
+    try:
+        expected = np.array(data, dtype=dtype) if all(map(_is_json_number, _leaves(data))) else None
+    except OverflowError:
+        expected = None
+    if expected is not None and not np.isfinite(expected).all():
+        expected = None
+    make, field = {
+        "vector": (CoefficientVector, "values"),
+        "choi": (ChoiMatrix, "matrix"),
+        "kraus": (KrausSet, "operators"),
+    }[kind]
+    save, *head = (save_vector_file,) if kind == "vector" else (save_matrix_file, kind)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.json")
+        if expected is None:
+            with pytest.raises(ChannelRepError):
+                make(dx, dy, data)
+            with pytest.raises(FileFormatError):
+                save(path, *head, dx, dy, data)
+            assert not os.path.exists(path)
+            return
+        save(path, *head, dx, dy, data)
+        written = load_vector_file(path).values if kind == "vector" else load_matrix_file(path).data
+    for got in (getattr(make(dx, dy, data), field), written):
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes(), data
