@@ -131,16 +131,26 @@ def trace_norm(m) -> float:
     absolute values of its eigenvalues as singular values, so it is summed
     from ``eigvalsh``; the two sums agree to rounding, about
     n * eps * ||m||_2.  Anything else (a stack, a non-square or a
-    non-Hermitian matrix) is summed from its SVD.
+    non-Hermitian matrix) is summed from its SVD.  Raises ``DimensionError``
+    below two dimensions and ``ValidationError`` when an entry is NaN or
+    inf; finite entries whose sum overflows give inf.
     """
     m = _numbers(m)
+    if m.ndim < 2:
+        raise DimensionError(f"expected a matrix or a stack of matrices, got shape {m.shape}")
     if m.size == 0:
         return 0.0
-    if m.ndim == 2 and m.shape[0] == m.shape[1]:
-        h = _Hermitian(m)
-        if h.exact:
-            return float(np.abs(h.eigenvalues()).sum())
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+    try:
+        with np.errstate(over="ignore"):  # finite entries may sum to inf
+            if m.ndim == 2 and m.shape[0] == m.shape[1] and (h := _Hermitian(m)).exact:
+                total = float(np.abs(h.eigenvalues()).sum())
+            else:
+                total = float(np.linalg.svd(m, compute_uv=False).sum())
+    except np.linalg.LinAlgError:  # LAPACK gives up on NaN and inf entries
+        total = math.nan
+    if math.isnan(total):
+        raise ValidationError("trace norm of a matrix with non-finite entries")
+    return total
 
 
 def res(a) -> np.ndarray:

@@ -1,14 +1,27 @@
 """Shared fixtures and independent brute-force oracles for the test suite."""
 
+import os
+import pathlib
 from functools import lru_cache
 
 import numpy as np
 
+import channelrep
 from channelrep import channel_basis
 from channelrep.channel_basis import helmert
 from channelrep.linalg import _mirror_upper
 
 SQRT2 = np.sqrt(2.0)
+
+
+
+def console_env() -> dict:
+    """The environment of this process, with this channelrep importable first."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(channelrep.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / SQRT2
 

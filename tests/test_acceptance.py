@@ -240,3 +240,21 @@ def test_criterion_10_negative_path(tmp_path):
     code = cli_main(["represent", str(path), "--output", str(tmp_path / "v.json")])
     ok = raised and code == 3
     assert _report(10, ok, f"library raised NotInSubspaceError={raised}, CLI exit code {code} (want 3)")
+
+
+def test_criterion_11_channels_span_s():
+    # Minimality: the vectors of dim S + 5 random channels of full Kraus rank
+    # have rank dim S, so no coordinate is spare.  A basis of a larger space
+    # that contains S would pass every orthonormality and round-trip test.
+    details, ok = [], True
+    for dx in range(1, 4):
+        for dy in range(1, 4):
+            dim_s = subspace_dimension(dx, dy)
+            b = get_basis(dx, dy)
+            vectors = np.array(
+                [represent(b, random_channel(dx, dy, dx * dy, seed)).values for seed in range(dim_s + 5)]
+            )
+            rank = int(np.linalg.matrix_rank(vectors))
+            ok &= rank == vectors.shape[1] == dim_s
+            details.append(f"{dx}x{dy} {rank}/{vectors.shape[1]}/{dim_s}")
+    assert _report(11, ok, f"rank/len(v)/dim S: {', '.join(details)}")

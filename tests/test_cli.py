@@ -5,7 +5,6 @@ import io
 import json
 import math
 import os
-import pathlib
 import subprocess
 import sys
 import tempfile
@@ -16,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import channelrep
 from channelrep import (
     HERMITICITY_TOL,
     CoefficientVector,
@@ -46,6 +44,7 @@ from fixtures import (
     HADAMARD_CHOI,
     HADAMARD_COEFF_MULTISET,
     MALFORMED_FILES,
+    console_env,
     multiset_dev,
     rand_complex,
     rand_hermitian,
@@ -476,26 +475,6 @@ def test_tolerance_flags_accept_zero():
     assert args.membership_tol == 0.0
 
 
-def _console_env():
-    """The environment of this process, with this channelrep importable first."""
-    env = dict(os.environ)
-    src = str(pathlib.Path(channelrep.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
-def test_console_invocation(tmp_path):
-    inp = _hadamard_file(tmp_path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "channelrep", "roundtrip", str(inp)],
-        capture_output=True,
-        text=True,
-        env=_console_env(),
-    )
-    assert proc.returncode == 0
-    assert float(proc.stdout.strip()) <= 1e-12
-
-
 @pytest.mark.parametrize(
     "command,case",
     [
@@ -519,57 +498,6 @@ def test_malformed_file_exit_2(tmp_path, capsys, command, case):
     assert not out.exists()
 
 
-def _parity_case(tmp_path, case):
-    """(argv, output file or None) of one console-parity case."""
-    out = tmp_path / "out.json"
-    had = str(_hadamard_file(tmp_path))
-    if case == "represent":
-        return ["represent", had, "--output", str(out)], out
-    if case == "combine":
-        vec = tmp_path / "v.json"
-        save_vector_file(vec, 2, 2, np.linspace(-1.0, 1.0, 13))
-        return ["combine", str(vec), "--output", str(out)], out
-    if case in ("check", "roundtrip"):
-        return [case, had], None
-    if case == "basis":
-        return ["basis", "--dx", "2", "--dy", "2", "--output", str(out)], out
-    if case == "random":
-        return ["random", "--dx", "2", "--dy", "3", "--rank", "2", "--seed", "7",
-                "--output", str(out)], out
-    inp = tmp_path / "in.json"
-    if case == "exit 1":
-        save_matrix_file(inp, "choi", 2, 2, np.diag([1.0, -1.0, 1.0, 1.0]))
-        return ["check", str(inp)], None
-    if case == "exit 2":
-        inp.write_text("{broken")
-        return ["represent", str(inp), "--output", str(out)], out
-    save_matrix_file(inp, "choi", 2, 2, kron(np.eye(2), np.diag([1.0, -1.0])))
-    return ["represent", str(inp), "--output", str(out)], out
-
-
-def _output_bytes(out):
-    return out.read_bytes() if out is not None and out.exists() else None
-
-
-@pytest.mark.parametrize(
-    "case,code",
-    [("represent", 0), ("combine", 0), ("check", 0), ("roundtrip", 0), ("basis", 0),
-     ("random", 0), ("exit 1", 1), ("exit 2", 2), ("exit 3", 3)],
-)
-def test_console_matches_main(tmp_path, capsys, case, code):
-    # ``python -m channelrep`` goes through entry_point; it must behave as main().
-    argv, out = _parity_case(tmp_path, case)
-    proc = subprocess.run([sys.executable, "-m", "channelrep", *argv], capture_output=True,
-                          text=True, env=_console_env(), cwd=tmp_path)
-    console_file = _output_bytes(out)
-    if console_file is not None:
-        out.unlink()
-    assert main(argv) == proc.returncode == code
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == (proc.stdout, proc.stderr)
-    assert _output_bytes(out) == console_file
-
-
 def test_only_entry_point_freezes_the_heap(tmp_path, capsys):
     before = gc.get_freeze_count()
     assert main(["check", str(_hadamard_file(tmp_path))]) == 0
@@ -587,7 +515,7 @@ def test_only_entry_point_freezes_the_heap(tmp_path, capsys):
         "channelrep.cli.entry_point()\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "had.json")],
-                          capture_output=True, text=True, env=_console_env())
+                          capture_output=True, text=True, env=console_env())
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "import froze False"

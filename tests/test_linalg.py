@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from channelrep import DimensionError
+from channelrep import DimensionError, ValidationError
 from channelrep.linalg import (
     _Hermitian,
     _mirror_upper,
@@ -203,6 +203,31 @@ def test_trace_norm_not_exactly_hermitian_is_svd_sum():
 def test_trace_norm_empty():
     assert trace_norm(np.zeros((0, 0))) == 0.0
     assert trace_norm(np.zeros((0, 3))) == 0.0
+
+
+@pytest.mark.parametrize("m", [5, [1, 2], []])
+def test_trace_norm_refuses_fewer_than_two_dimensions(m):
+    with pytest.raises(DimensionError, match="expected a matrix"):
+        trace_norm(m)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[np.nan]],  # not Hermitian (NaN != NaN): LAPACK's SVD gives up
+        [[np.inf, 0], [0, 1]],  # exactly Hermitian: eigvalsh returns NaN
+        [[np.inf, 1], [0, 1]],
+        np.full((2, 3, 3), np.nan),
+    ],
+)
+def test_trace_norm_refuses_non_finite_entries(m):
+    with pytest.raises(ValidationError, match="non-finite"):
+        trace_norm(m)
+
+
+@pytest.mark.parametrize("m", [np.diag([1e308, 1e308]), [[1e308, 1], [0, 1e308]]])
+def test_trace_norm_of_finite_entries_overflows_to_inf(m):
+    assert trace_norm(m) == np.inf
 
 
 def test_res_identity():
