@@ -335,7 +335,8 @@ def _scatter(basis: ChannelBasis, values: np.ndarray) -> np.ndarray:
     upper = (values[..., split:] * INV_SQRT2).view(complex).reshape(batch + (-1, dx, dx))
     y1, y2 = (y[dy:] for y in t.blocks)
     blocks[..., y1, y2, :, :] = upper
-    blocks[..., y2, y1, :, :] = upper.conj().swapaxes(-1, -2)
+    # Conjugated in place, so no second temporary sits beside ``upper``.
+    blocks[..., y2, y1, :, :] = np.conjugate(upper, out=upper).swapaxes(-1, -2)
     return m
 
 

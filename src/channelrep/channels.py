@@ -13,7 +13,7 @@ import numpy as np
 from .choi import ChoiMatrix, KrausSet, _built, _exact_choi, _is_integer, _text, check_dims
 from .choi import choi_from_kraus
 from .errors import DomainError, ValidationError
-from .linalg import HERMITICITY_TOL, _Hermitian, _check_tolerance, _mirror_upper, _square, res
+from .linalg import HERMITICITY_TOL, _Hermitian, _check_tolerance, _finite_square, _mirror_upper, res
 
 __all__ = [
     "NotCompletelyPositiveWarning",
@@ -28,16 +28,6 @@ class NotCompletelyPositiveWarning(UserWarning):
     """The constructed map is valid but not completely positive."""
 
 
-def _finite_square(a, what: str) -> np.ndarray:
-    """``a`` as a complex square matrix of side >= 1 whose entries are all
-    finite; ``ValidationError`` naming ``what`` otherwise."""
-    a = _square(a)
-    check_dims(*a.shape)
-    if not np.isfinite(a).all():
-        raise ValidationError(f"{what} contains non-finite entries")
-    return a
-
-
 def unitary_channel(u) -> ChoiMatrix:
     """Choi matrix of x -> u x u^dag for a unitary u, via res(u) res(u)^dag.
 
@@ -47,6 +37,7 @@ def unitary_channel(u) -> ChoiMatrix:
     unitary, without a ``RuntimeWarning``.
     """
     u = _finite_square(u, "unitary matrix")
+    check_dims(*u.shape)
     d = u.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         defect = np.abs(u.conj().T @ u - np.eye(d)).max()
@@ -58,7 +49,9 @@ def unitary_channel(u) -> ChoiMatrix:
 
 def _correlation_record(a, tol: float) -> _Hermitian:
     """The Hermitian record of ``a``, checked as ``validate_correlation`` states."""
-    h = _Hermitian(_finite_square(a, "correlation matrix"))
+    a = _finite_square(a, "correlation matrix")
+    check_dims(*a.shape)
+    h = _Hermitian(a)
     if h.defect > tol:
         raise ValidationError(f"correlation matrix is not Hermitian (defect {h.defect:.3e})")
     diag_defect = np.abs(np.diag(h.m) - 1.0).max()

@@ -4,6 +4,10 @@ Subcommands: represent, combine, check, roundtrip, basis, random.
 Exit codes: 0 success/pass, 1 check failed, 2 input error, 3 not in the
 channel subspace.  Diagnostics go to stderr; results go to the output file
 or stdout.
+
+Each ``_cmd_*`` returns its exit code and its ordered (key, value) result
+fields, and prints nothing.  ``main`` turns a refusal into the same kind of
+result and prints every line, warnings included, through ``_render``.
 """
 
 from __future__ import annotations
@@ -53,41 +57,28 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}") from None
 
 
-def _load_choi(path):
-    """Load ``path`` as a Choi matrix; a warning raised on the way (a
-    correlation matrix that is not PSD) is printed as one ``warning:`` line."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        j = matrix_file_to_choi(load_matrix_file(path))
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    return j
-
-
 def _load_and_represent(args):
     """Load ``args.input`` and represent it in the channel basis: (basis, j, v)."""
-    j = _load_choi(args.input)
+    j = matrix_file_to_choi(load_matrix_file(args.input))
     basis = channel_basis(j.dx, j.dy)
     return basis, j, represent(basis, j, membership_tol=args.membership_tol)
 
 
-def _cmd_represent(args) -> int:
+def _cmd_represent(args) -> tuple[int, list]:
     _, j, v = _load_and_represent(args)
     save_vector_file(args.output, j.dx, j.dy, v.values)
-    print(f"dim_s {len(v)}")
-    print(f"c0 {float(v.values[0])!r}")
-    return EXIT_OK
+    return EXIT_OK, [("dim_s", len(v)), ("c0", float(v.values[0]))]
 
 
-def _cmd_combine(args) -> int:
+def _cmd_combine(args) -> tuple[int, list]:
     v = load_vector_file(args.input)
     j = combine(channel_basis(v.dx, v.dy), v)
     save_matrix_file(args.output, "choi", v.dx, v.dy, j.matrix)
-    return EXIT_OK
+    return EXIT_OK, []
 
 
-def _cmd_check(args) -> int:
-    j = _load_choi(args.input)
+def _cmd_check(args) -> tuple[int, list]:
+    j = matrix_file_to_choi(load_matrix_file(args.input))
     h = j._hermitian  # the predicates below read this one record of J
     # Relative to s = ||J||_F, as in represent and roundtrip, so the
     # verdicts do not depend on units; s refuses a non-finite norm first.
@@ -99,35 +90,48 @@ def _cmd_check(args) -> int:
     tp = is_trace_preserving(j, tol=tol)
     hp = is_hermiticity_preserving(j, tol=tol)
     trace = float(np.trace(j.matrix).real)
-    print(f"cp {str(cp).lower()}")
-    print(f"tp {str(tp).lower()}")
-    print(f"hp {str(hp).lower()}")
-    print(f"min_eigenvalue {h.lambda_min!r}")
-    print(f"trace {trace!r}")
-    print(f"pairing {trace / j.dx!r}")
-    return EXIT_OK if (cp and tp) else EXIT_CHECK_FAILED
+    fields = [("cp", cp), ("tp", tp), ("hp", hp), ("min_eigenvalue", h.lambda_min),
+              ("trace", trace), ("pairing", trace / j.dx)]
+    return (EXIT_OK if (cp and tp) else EXIT_CHECK_FAILED), fields
 
 
-def _cmd_roundtrip(args) -> int:
+def _cmd_roundtrip(args) -> tuple[int, list]:
     basis, j, v = _load_and_represent(args)
-    recovered = combine(basis, v)
-    err = trace_norm(j.matrix - recovered.matrix)
-    print(f"{err:.16e}")
+    err = trace_norm(j.matrix - combine(basis, v).matrix)
     passed = err <= ROUNDTRIP_PASS_THRESHOLD * j._hermitian.scale()
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    return (EXIT_OK if passed else EXIT_CHECK_FAILED), [("trace_norm_error", err)]
 
 
-def _cmd_basis(args) -> int:
+def _cmd_basis(args) -> tuple[int, list]:
     basis = channel_basis(args.dx, args.dy)
     save_basis_file(args.output, basis)
-    print(f"dim_s {len(basis)}")
-    return EXIT_OK
+    return EXIT_OK, [("dim_s", len(basis))]
 
 
-def _cmd_random(args) -> int:
+def _cmd_random(args) -> tuple[int, list]:
     j = random_channel(args.dx, args.dy, args.rank, args.seed)
     save_matrix_file(args.output, "choi", args.dx, args.dy, j.matrix)
-    return EXIT_OK
+    return EXIT_OK, []
+
+
+# Fields that are diagnostics, not results: they print on stderr, and the
+# messages among them as "key: text".
+_STDERR = ("warning", "residual_trace_norm", "error")
+_MESSAGES = ("warning", "error")
+
+
+def _render(fields) -> None:
+    """Print each (key, value) field as one line, the CLI's one text format:
+    ``key value``, with bools in lower case and other values by ``repr``;
+    roundtrip's error prints bare, as ``%.16e``."""
+    for key, value in fields:
+        if key in _MESSAGES:
+            line = f"{key}: {value}"
+        elif key == "trace_norm_error":
+            line = f"{value:.16e}"
+        else:
+            line = f"{key} {str(value).lower() if isinstance(value, bool) else repr(value)}"
+        print(line, file=sys.stderr if key in _STDERR else sys.stdout)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -177,15 +181,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ChannelRepError as exc:  # every input, read and write error
-        code = EXIT_INPUT_ERROR
-        if isinstance(exc, NotInSubspaceError):
-            print(f"residual_trace_norm {exc.residual_trace_norm!r}", file=sys.stderr)
-            code = EXIT_NOT_IN_SUBSPACE
-        print(f"error: {exc}", file=sys.stderr)
-        return code
+    # Every warning raised while the command runs (a correlation matrix that
+    # is not PSD, say) prints as one "warning:" line before the fields.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code, fields = args.func(args)
+        except NotInSubspaceError as exc:
+            code, fields = EXIT_NOT_IN_SUBSPACE, [
+                ("residual_trace_norm", exc.residual_trace_norm), ("error", exc)]
+        except ChannelRepError as exc:  # every input, read and write error
+            code, fields = EXIT_INPUT_ERROR, [("error", exc)]
+    _render([("warning", w.message) for w in caught] + fields)
+    return code
 
 
 def entry_point() -> None:

@@ -31,15 +31,6 @@ __all__ = [
 HERMITICITY_TOL = 1e-10
 
 
-def _check_tolerance(tol: float) -> float:
-    """Return ``tol`` if it is a finite number >= 0; otherwise (NaN included)
-    raise ``DomainError``.  Every public tolerance, and the CLI's tolerance
-    flags, pass through here."""
-    if not 0 <= tol < math.inf:
-        raise DomainError(f"tolerance must be a finite number >= 0, got {tol!r}")
-    return tol
-
-
 # The smallest normal float: a sum of squares below it may have underflowed.
 _TINY = np.finfo(float).tiny
 
@@ -59,6 +50,22 @@ def _norm(a: np.ndarray, sumsq: float, weight: int = 1) -> float:
 # The leaf types ``_numbers`` reads for each target dtype; ``bool``, an ``int``
 # subclass, is refused apart.
 _LEAVES = {float: (int, float, np.integer, np.floating), complex: (int, float, complex, np.number)}
+
+
+def _check_tolerance(tol: float) -> float:
+    """Return ``tol`` if it is a real Python or numpy number (not ``bool``)
+    that is finite and >= 0; otherwise (NaN, integers beyond float range,
+    strings, ``None``, complex numbers and arrays included) raise
+    ``DomainError``.  Every public tolerance, and the CLI's tolerance flags,
+    pass through here."""
+    shown = None
+    if not isinstance(tol, bool) and isinstance(tol, _LEAVES[float]):
+        try:
+            if 0 <= float(tol) < math.inf:
+                return tol
+        except OverflowError:  # an integer beyond float range, maybe too long to print
+            shown = f"a {tol.bit_length()}-bit integer"
+    raise DomainError(f"tolerance must be a finite number >= 0, got {shown or repr(tol)}")
 
 
 def _numbers(data, dtype=complex, what: str = "matrix") -> np.ndarray:
@@ -162,10 +169,16 @@ def res(a) -> np.ndarray:
     return _numbers(a).reshape(-1)
 
 
-def _square(m) -> np.ndarray:
+def _finite_square(m, what: str = "matrix") -> np.ndarray:
+    """``m`` as a complex square matrix whose entries are all finite:
+    ``DimensionError`` for another shape, ``ValidationError`` naming ``what``
+    for a NaN or inf entry.  The rule of the predicates below and of the
+    channel families' matrices."""
     m = _numbers(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError(f"{what} contains non-finite entries")
     return m
 
 
@@ -284,8 +297,8 @@ class _Hermitian:
 
 def min_eigenvalue_hermitian(m) -> float:
     """Smallest eigenvalue of the Hermitian part (m + m^dag)/2 of a nonempty
-    square matrix."""
-    m = _square(m)
+    finite square matrix."""
+    m = _finite_square(m)
     if m.size == 0:
         raise DimensionError("expected a nonempty matrix, got shape (0, 0)")
     return _Hermitian(m).lambda_min
@@ -300,12 +313,13 @@ def is_positive_semidefinite(m, tol: float) -> bool:
     True, and differs from it only when lambda_min(H) + tol is within
     rounding (about n * eps * ||H||) of zero.
     """
-    return _Hermitian(_square(m)).is_psd(_check_tolerance(tol))
+    return _Hermitian(_finite_square(m)).is_psd(_check_tolerance(tol))
 
 
 def hermiticity_defect(m) -> float:
-    """Max-abs entry of m - m^dag; exactly 0.0 when m equals m^dag."""
-    return _Hermitian(_square(m)).defect
+    """Max-abs entry of m - m^dag for a finite square matrix; exactly 0.0
+    when m equals m^dag."""
+    return _Hermitian(_finite_square(m)).defect
 
 
 def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:

@@ -416,6 +416,32 @@ def test_round_trip_16x16_bounded_memory():
     assert trace_norm(j.matrix - rec.matrix) <= 1e-12 * 16
 
 
+# The tracemalloc peak of each call, as a multiple of J's bytes: the value
+# measured at 32x32 and 8x32 plus 10% (combine, measured at 1.50, within 1.6).
+CALL_PEAK_BOUNDS = {"represent on a ChoiMatrix": 1.13, "represent on an array": 1.24,
+                    "combine": 1.6, "trace_norm": 1.24}
+
+
+@pytest.mark.parametrize("dx,dy", [(32, 32), (8, 32)])
+def test_call_peaks_near_one_choi_matrix(dx, dy):
+    j = random_channel(dx, dy, 2, seed=460)
+    b, array = channel_basis(dx, dy), np.array(j.matrix)
+    v = represent(b, j)  # builds the basis layout before anything is traced
+    calls = {"represent on a ChoiMatrix": lambda: represent(b, j),
+             "represent on an array": lambda: represent(b, array),
+             "combine": lambda: combine(b, v),
+             "trace_norm": lambda: trace_norm(j.matrix)}
+    peaks = {}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / j.matrix.nbytes
+        finally:
+            tracemalloc.stop()
+    assert {name: peak for name, peak in peaks.items() if peak > CALL_PEAK_BOUNDS[name]} == {}
+
+
 @pytest.mark.parametrize("dx,dy", [d for d in REFERENCE_DIMS if d != (1, 1)])
 def test_represent_non_contiguous_input(dx, dy):
     b = channel_basis(dx, dy)

@@ -365,7 +365,15 @@ TOLERANCE_CALLS = {
 }
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+# Besides NaN, inf and negatives, values that are not a real number: a
+# tolerance is never converted, so "1e-8" and True are not read as numbers.
+@pytest.mark.parametrize(
+    "tol",
+    [np.nan, np.inf, -1.0, "1e-8", None, 1j, np.array([1e-8, 1e-8]), True, np.True_,
+     10**400, -(10**5000)],
+    ids=["nan", "inf", "-1.0", "str", "None", "complex", "array", "True", "numpy_True",
+         "int_beyond_float", "int_too_long_to_print"],
+)
 @pytest.mark.parametrize("name", TOLERANCE_CALLS)
 def test_every_tolerance_refuses_nan_inf_and_negative(name, tol):
     with pytest.raises(DomainError, match="tolerance must be a finite number >= 0"):

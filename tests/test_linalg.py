@@ -225,6 +225,33 @@ def test_trace_norm_refuses_non_finite_entries(m):
         trace_norm(m)
 
 
+# LAPACK's eigvalsh and Cholesky do not refuse NaN: min_eigenvalue_hermitian
+# once read 0.0 here and is_positive_semidefinite True, is_hermitian took an
+# inf diagonal as Hermitian and hermiticity_defect gave nan.
+PREDICATES = {
+    "min_eigenvalue_hermitian": min_eigenvalue_hermitian,
+    "is_positive_semidefinite": lambda m: is_positive_semidefinite(m, 1e-10),
+    "is_hermitian": is_hermitian,
+    "hermiticity_defect": hermiticity_defect,
+}
+
+
+@pytest.mark.parametrize("m", [[[np.nan, 0], [0, 1]], [[np.inf, 0], [0, 1]], [[1, -np.inf], [0, 1]]],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", PREDICATES)
+def test_predicates_refuse_non_finite_entries(name, m):
+    with pytest.raises(ValidationError, match="matrix contains non-finite entries"):
+        PREDICATES[name](m)
+
+
+def test_predicates_on_the_empty_matrix_are_unchanged():
+    empty = np.zeros((0, 0))
+    with pytest.raises(DimensionError, match="nonempty"):
+        min_eigenvalue_hermitian(empty)
+    assert is_positive_semidefinite(empty, 1e-10) is True and is_hermitian(empty) is True
+    assert hermiticity_defect(empty) == 0.0
+
+
 @pytest.mark.parametrize("m", [np.diag([1e308, 1e308]), [[1e308, 1], [0, 1e308]]])
 def test_trace_norm_of_finite_entries_overflows_to_inf(m):
     assert trace_norm(m) == np.inf
