@@ -10,10 +10,11 @@ import warnings
 
 import numpy as np
 
-from .choi import ChoiMatrix, KrausSet, _built, _exact_choi, _is_integer, _text, check_dims
+from .choi import ChoiMatrix, KrausSet, _built, _exact_choi, check_dims
 from .choi import choi_from_kraus
 from .errors import DomainError, ValidationError
 from .linalg import HERMITICITY_TOL, _Hermitian, _check_tolerance, _finite_square, _mirror_upper, res
+from .linalg import _is_integer, _text
 
 __all__ = [
     "NotCompletelyPositiveWarning",

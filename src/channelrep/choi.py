@@ -20,13 +20,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ValidationError, _SizeLimitError
+from .errors import DimensionError, ValidationError, _SizeLimitError
 from .linalg import (
     HERMITICITY_TOL,
     _Hermitian,
+    _check_positive_dims,
     _check_tolerance,
     _mirror_upper,
     _numbers,
+    _text,
     partial_trace_first,
 )
 
@@ -41,26 +43,10 @@ __all__ = [
 ]
 
 
-def _is_integer(v) -> bool:
-    """The package's integer rule: Python or numpy integers qualify, ``bool``
-    does not, and nothing is rounded or converted."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 # The size limit: the most bytes that one array the package builds (a Choi
 # matrix, the dense basis stack) or one basis dump may take.  Larger sizes
 # are refused before anything is allocated.
 MAX_ARRAY_BYTES = 2**32
-
-
-def _text(v, form=format) -> str:
-    """``form(v)`` (by default ``f"{v}"``), or for an integer longer than
-    Python prints (its digit limit) its bit length: a message must not fail
-    on the value it names."""
-    try:
-        return form(v)
-    except ValueError:
-        return f"<{v.bit_length()}-bit integer>"
 
 
 def check_size(dx: int, dy: int, what: str, nbytes: int) -> None:
@@ -82,15 +68,11 @@ def check_dims(dx: int, dy: int) -> None:
     """Raise ``DomainError`` unless both channel dimensions are integers >= 1
     whose complex Choi matrix, 16 (dx*dy)^2 bytes, fits the size limit.
 
-    The one dimension rule of the package, under ``_is_integer``.
-    Constructors, the basis, the file readers and the writers all apply it,
-    before they allocate anything.
+    The one dimension rule of the package, ``linalg._check_positive_dims``,
+    with the size limit.  Constructors, the basis, the file readers and the
+    writers all apply it, before they allocate anything.
     """
-    for d in (dx, dy):
-        if not _is_integer(d) or d < 1:
-            raise DomainError(
-                f"dimensions must be positive integers, got ({_text(dx)}, {_text(dy)})"
-            )
+    _check_positive_dims(dx, dy)
     n = dx * dy
     side = _text(n)
     check_size(dx, dy, f"the {side}x{side} Choi matrix", 16 * n * n)

@@ -9,6 +9,7 @@ output (Y) factor first.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -47,6 +48,30 @@ def _norm(a: np.ndarray, sumsq: float, weight: int = 1) -> float:
     return math.sqrt(weight * sumsq)
 
 
+def _is_integer(v) -> bool:
+    """The package's integer rule: Python or numpy integers qualify, ``bool``
+    does not, and nothing is rounded or converted."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _text(v, form=format) -> str:
+    """``form(v)`` (by default ``f"{v}"``), or for an integer longer than
+    Python prints (its digit limit) its bit length: a message must not fail
+    on the value it names."""
+    try:
+        return form(v)
+    except ValueError:
+        return f"<{v.bit_length()}-bit integer>"
+
+
+def _check_positive_dims(d1, d2) -> None:
+    """Raise ``DomainError`` unless both dims are integers >= 1 under
+    ``_is_integer``: the package's dimension rule.  ``choi.check_dims`` adds
+    the size limit for what it will build."""
+    if not all(_is_integer(d) and d >= 1 for d in (d1, d2)):
+        raise DomainError(f"dimensions must be positive integers, got ({_text(d1)}, {_text(d2)})")
+
+
 # The leaf types ``_numbers`` reads for each target dtype; ``bool``, an ``int``
 # subclass, is refused apart.
 _LEAVES = {float: (int, float, np.integer, np.floating), complex: (int, float, complex, np.number)}
@@ -79,13 +104,23 @@ def _numbers(data, dtype=complex, what: str = "matrix") -> np.ndarray:
     complex ``dtype``) or a numpy number of those kinds: ``bool``,
     ``numpy.bool_``, strings, ``None`` and other objects raise
     ``ValidationError("{what} must contain only numbers")``, and an integer
-    beyond float range raises ``ValidationError("non-finite {what}")``.
+    beyond float range raises ``ValidationError("non-finite {what}")``.  A
+    masked array with a masked entry raises
+    ``ValidationError("{what} has masked entries")``; one without is read as
+    its data.
     Ragged data, which numpy will not hold as objects or whose leaves are
     themselves lists or arrays, raises ``DimensionError``.  Finiteness is
     the caller's rule: NaN and inf pass.
     """
     if type(data) is np.ndarray and data.dtype.kind in ("iufc" if dtype is complex else "iuf"):
         return data if data.dtype == dtype else data.astype(dtype)
+    # numpy does not import numpy.ma, and a CLI call should not pay for it: data
+    # can be a masked array only once something else has imported it.
+    ma = sys.modules.get("numpy.ma")
+    if ma is not None and isinstance(data, ma.MaskedArray):  # never read the values it hides
+        if ma.is_masked(data):
+            raise ValidationError(f"{what} has masked entries")
+        data = data.data
     try:
         a = np.asarray(data, dtype=object)
     except ValueError:  # ragged lists that an older numpy will not hold as objects
@@ -119,13 +154,16 @@ def partial_trace_first(m, dim_first: int, dim_second: int) -> np.ndarray:
     """Trace out the first tensor factor of a square matrix on C^d1 x C^d2.
 
     Returns the dim_second x dim_second matrix R with
-    R[i, j] = sum_k m[k*dim_second + i, k*dim_second + j].
+    R[i, j] = sum_k m[k*dim_second + i, k*dim_second + j].  Dims that are
+    not integers >= 1 raise ``DomainError``, as in ``choi.check_dims``.
     """
     m = _numbers(m)
+    _check_positive_dims(dim_first, dim_second)
     side = dim_first * dim_second
     if m.shape != (side, side):
+        side = _text(side)
         raise DimensionError(
-            f"expected a {side}x{side} matrix for dims ({dim_first}, {dim_second}), "
+            f"expected a {side}x{side} matrix for dims ({_text(dim_first)}, {_text(dim_second)}), "
             f"got {m.shape}"
         )
     return np.einsum("abac->bc", m.reshape(dim_first, dim_second, dim_first, dim_second))

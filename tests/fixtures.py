@@ -2,6 +2,8 @@
 
 import os
 import pathlib
+import subprocess
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -15,12 +17,39 @@ SQRT2 = np.sqrt(2.0)
 
 
 
-def console_env() -> dict:
-    """The environment of this process, with this channelrep importable first."""
+def console_env(src=None) -> dict:
+    """The environment of this process, with ``src`` (by default the tree of
+    the imported channelrep) first on the import path."""
     env = dict(os.environ)
-    src = str(pathlib.Path(channelrep.__file__).resolve().parents[1])
+    src = str(src or pathlib.Path(channelrep.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def _stamps(root: pathlib.Path) -> dict:
+    """Each file under ``root`` with its size and modification time."""
+    return {p: (p.stat().st_size, p.stat().st_mtime_ns) for p in root.rglob("*") if p.is_file()}
+
+
+def written_by(call, cwd) -> tuple:
+    """``call()``'s result, and the bytes of every file under ``cwd`` that
+    it created or changed (new, or a changed size or mtime), by path
+    relative to ``cwd``."""
+    cwd = pathlib.Path(cwd)
+    before = _stamps(cwd)
+    result = call()
+    return result, {p.relative_to(cwd).as_posix(): p.read_bytes()
+                    for p, stamp in _stamps(cwd).items() if before.get(p) != stamp}
+
+
+def run_console(argv, cwd, src=None) -> tuple:
+    """Run ``python -m channelrep <argv>`` in ``cwd`` under ``console_env(src)``:
+    its exit code, stdout, stderr and the files it wrote (``written_by``).
+    The one place the tests and tools start the console script."""
+    proc, files = written_by(lambda: subprocess.run(
+        [sys.executable, "-m", "channelrep", *argv], cwd=cwd, env=console_env(src),
+        capture_output=True, text=True), cwd)
+    return proc.returncode, proc.stdout, proc.stderr, files
 
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / SQRT2

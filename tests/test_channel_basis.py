@@ -16,6 +16,7 @@ from channelrep import (
     KrausSet,
     NotInSubspaceError,
     ValidationError,
+    apply_channel,
     channel_basis,
     choi_from_kraus,
     combine,
@@ -35,6 +36,7 @@ from channelrep import (
     unitary_channel,
 )
 from channelrep.channel_basis import _gather, _scatter
+from channelrep.fileio import load_matrix_file, load_vector_file, save_matrix_file, save_vector_file
 from channelrep.linalg import HERMITICITY_TOL, _Hermitian, _mirror_upper
 
 from fixtures import (
@@ -440,6 +442,45 @@ def test_call_peaks_near_one_choi_matrix(dx, dy):
         finally:
             tracemalloc.stop()
     assert {name: peak for name, peak in peaks.items() if peak > CALL_PEAK_BOUNDS[name]} == {}
+
+
+# The peaks of the other calls, measured + 10% as above; 0.1 for calls that
+# allocate next to nothing.  The CP test holds a copy of J and its Cholesky
+# factor, and the roundtrip path the difference and the copy eigvalsh makes of
+# it: both at their floor with numpy.linalg.  The file calls, measured at 8x32
+# only to keep the suite fast, hold the JSON text and its Python objects.
+OTHER_CALL_PEAK_BOUNDS = {"is_completely_positive": 2.2, "roundtrip path": 2.34,
+                          "is_trace_preserving": 0.1, "apply_channel": 0.1,
+                          "load_matrix_file": 13.3, "save_matrix_file": 15.3,
+                          "load_vector_file": 3.8, "save_vector_file": 7.9}
+
+
+@pytest.mark.parametrize("dx,dy", [(32, 32), (8, 32)])
+def test_peaks_of_the_other_calls(dx, dy, tmp_path):
+    j = random_channel(dx, dy, 2, seed=460)  # its Hermitian record is fresh
+    b, x = channel_basis(dx, dy), np.eye(dx)
+    v = represent(b, j)
+    choi, vec = tmp_path / "c.json", tmp_path / "v.json"
+    calls = {"is_completely_positive": lambda: is_completely_positive(j),
+             "roundtrip path": lambda: trace_norm(j.matrix - combine(b, v).matrix),
+             "is_trace_preserving": lambda: is_trace_preserving(j),
+             "apply_channel": lambda: apply_channel(j, x)}
+    if (dx, dy) == (8, 32):
+        save_matrix_file(choi, "choi", dx, dy, j.matrix)
+        save_vector_file(vec, dx, dy, v.values)
+        calls |= {"load_matrix_file": lambda: load_matrix_file(choi),
+                  "save_matrix_file": lambda: save_matrix_file(choi, "choi", dx, dy, j.matrix),
+                  "load_vector_file": lambda: load_vector_file(vec),
+                  "save_vector_file": lambda: save_vector_file(vec, dx, dy, v.values)}
+    peaks = {}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / j.matrix.nbytes
+        finally:
+            tracemalloc.stop()
+    assert {name: peak for name, peak in peaks.items() if peak > OTHER_CALL_PEAK_BOUNDS[name]} == {}
 
 
 @pytest.mark.parametrize("dx,dy", [d for d in REFERENCE_DIMS if d != (1, 1)])

@@ -37,7 +37,7 @@ from channelrep import (
 from channelrep.cli import main
 from channelrep.fileio import save_matrix_file, save_vector_file
 
-from fixtures import HADAMARD, console_env
+from fixtures import HADAMARD, console_env, run_console, written_by
 
 
 # An input builder: a call that writes one file into the current directory.
@@ -153,7 +153,11 @@ CASES = [
     Case("check underflow", "check underflow.json", 1, (UNDERFLOW,), ("cp true",)),
     Case("represent underflow outside s", "represent underflow_outside_s.json --output x.json", 3,
          (_choi_json("underflow_outside_s.json", 2, 1, [[[1e-170, 0], [0, 0]], [[0, 0], [0, 0]]]),)),
-    # The labeled basis dump: 13 elements at 2x2; dims below 1 exit 2.
+    # The labeled basis dump: 13 elements at 2x2; dims below 1 exit 2.  The
+    # 1x1 dump is the README's example, byte for byte.
+    Case("basis 1x1", "basis --dx 1 --dy 1 --output b.json", 0, (), ("dim_s 1",),
+         (_text("b.json", '{"dx": 1, "dy": 1, "dim_s": 1, "elements": [{"label": ["identity"], '
+                          '"matrix": [[[1.0, 0.0]]]}]}\n'),)),
     Case("basis 2x2", "basis --dx 2 --dy 2 --output b.json", 0, (), ("dim_s 13",)),
     Case("basis dx 0", "basis --dx 0 --dy 2 --output b.json", 2),
     # Sizes above the 4 GiB limit are refused before anything is allocated,
@@ -184,43 +188,35 @@ def _every_subcommand(dx: int, dy: int, rank: int) -> list:
 CASES += [case for size in [(1, 3, 1), (3, 1, 3), (16, 16, 2)] for case in _every_subcommand(*size)]
 
 
-def _files(root: pathlib.Path) -> dict:
-    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
-
 @pytest.mark.parametrize("case", CASES, ids=[case.label for case in CASES])
 def test_console_case(case, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for write in case.inputs:
         write()
-    inputs = _files(tmp_path)
     argv = case.argv.split()
-    proc = subprocess.run([sys.executable, "-m", "channelrep", *argv], capture_output=True,
-                          text=True, env=console_env())
-    console = (proc.returncode, proc.stdout, proc.stderr, _files(tmp_path))
+    console = run_console(argv, tmp_path)
+    code, stdout, stderr, written = console
 
     # The console script goes through entry_point; it must behave as main().
-    for name in console[3].keys() - inputs.keys():
+    for name in written:
         (tmp_path / name).unlink()
-    code = main(argv)
+    code_main, files_main = written_by(lambda: main(argv), tmp_path)
     captured = capsys.readouterr()
-    assert (code, captured.out, captured.err, _files(tmp_path)) == console, "console != main()"
+    assert (code_main, captured.out, captured.err, files_main) == console, "console != main()"
 
-    assert proc.returncode == case.code, proc.stderr
-    stdout = proc.stdout.splitlines()
+    assert code == case.code, stderr
+    lines = stdout.splitlines()
     for pattern in case.lines:
-        assert any(re.fullmatch(pattern, line) for line in stdout), (pattern, stdout)
-    assert "Traceback" not in proc.stderr
-    errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
-    assert len(errors) == (case.code >= 2), proc.stderr
+        assert any(re.fullmatch(pattern, line) for line in lines), (pattern, lines)
+    assert "Traceback" not in stderr
+    errors = [line for line in stderr.splitlines() if line.startswith("error: ")]
+    assert len(errors) == (case.code >= 2), stderr
 
-    expected = tmp_path / "expected"
-    expected.mkdir()
-    monkeypatch.chdir(expected)
-    for write in case.writes:
-        write()
-    for name, data in _files(expected).items():
-        assert console[3][name] == data, f"{name} differs from what the table builds"
+    (tmp_path / "expected").mkdir()
+    monkeypatch.chdir(tmp_path / "expected")
+    _, expected = written_by(lambda: [write() for write in case.writes], tmp_path / "expected")
+    for name, data in expected.items():
+        assert written[name] == data, f"{name} differs from what the table builds"
 
 
 def test_import_in_a_fresh_interpreter():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from channelrep import DimensionError, ValidationError
+from channelrep import DimensionError, DomainError, ValidationError
 from channelrep.linalg import (
     _Hermitian,
     _mirror_upper,
@@ -134,6 +134,15 @@ def test_partial_trace_preserves_trace():
 def test_partial_trace_side_mismatch():
     with pytest.raises(DimensionError):
         partial_trace_first(np.eye(5), 2, 2)
+    # A dim too long to print is named by its bit length.
+    with pytest.raises(DimensionError, match=r"for dims \(<16610-bit integer>, 2\)"):
+        partial_trace_first(np.eye(4), 10**5000, 2)
+    # Dims follow the package's dims rule: integers >= 1, nothing rounded.
+    for m, dims in [(np.eye(4), (2.0, 2)), (np.eye(1), (True, True)), (np.eye(4), (0, 4)),
+                    (np.eye(4), (-2, -2)), (np.eye(4), (2, -2))]:
+        with pytest.raises(DomainError, match=r"^dimensions must be positive integers, got \("):
+            partial_trace_first(m, *dims)
+    assert np.array_equal(partial_trace_first(np.eye(4), np.int64(2), np.int32(2)), 2 * np.eye(2))
 
 
 def test_trace_norm_zero():

@@ -137,6 +137,9 @@ def test_ragged_data_is_a_dimension_error(make):
         (save_matrix_file, ("kraus", 1, 1, [[[True]]]), "data must contain only numbers"),
         (save_matrix_file, ("choi", 1, 1, [[10**400]]), "non-finite data"),
         (save_matrix_file, ("choi", 1, 2, [[1, 0], [0]]), "ragged data"),
+        (save_vector_file, (1, 1, np.ma.array([1.0], mask=[True])), "values has masked entries"),
+        (save_matrix_file, ("choi", 1, 1, np.ma.array([[1.0]], mask=[[True]])),
+         "data has masked entries"),
     ],
 )
 def test_writers_refuse_what_is_not_a_number_and_write_nothing(tmp_path, save, args, message):
@@ -145,6 +148,28 @@ def test_writers_refuse_what_is_not_a_number_and_write_nothing(tmp_path, save, a
         save(path, *args)
     assert str(exc_info.value) == f"cannot write {path}: {message}"
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda m: ChoiMatrix(1, 1, m), "Choi matrix has masked entries"),
+        (lambda m: CoefficientVector(1, 1, m[0]), "coefficient vector has masked entries"),
+    ],
+    ids=["ChoiMatrix", "CoefficientVector"],
+)
+def test_masked_entries_are_refused(make, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        make(np.ma.array([[5.0]], mask=[[True]]))
+
+
+def test_a_masked_array_is_read_as_its_data_only_when_nothing_is_masked():
+    # trace_norm once read the hidden -7 and gave 8.0.
+    m = np.ma.array([[1, 0], [0, -7]], mask=[[0, 0], [0, 1]])
+    with pytest.raises(ValidationError, match="^matrix has masked entries$"):
+        trace_norm(m)
+    assert trace_norm(np.ma.array(m.data)) == 8.0
+    assert ChoiMatrix(1, 1, np.ma.array([[5.0]], mask=[[False]])).matrix[0, 0] == 5.0
 
 
 @pytest.mark.parametrize(

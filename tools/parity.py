@@ -8,15 +8,16 @@ one call after another, each tree in its own temporary directory that starts
 as a copy of the same input files.  For every call it compares the exit code,
 stdout, stderr (with the tree's directory written as ``<dir>``) and the bytes
 of every file the call wrote.  It prints a JSON summary and exits 1 if any
-call differs; the summary names each such op with the fields that differ.  ``python tools/parity.py src`` compares the
-checkout with itself, which shows that every output is deterministic.
+call differs; the summary names each such op with the fields that differ.
+``python tools/parity.py src`` compares the checkout with itself, which shows
+that every output is deterministic.  Every call runs with one BLAS thread.
 
 The op list: the cli_small and cli_large ops of ``perfbench.workloads`` at
-seeds 1 and 2 (their inputs are built once, by this checkout's channelrep);
-``basis`` at 1x1, 1x2 and 2x3; and ``random``, then ``represent``,
-``combine`` and ``roundtrip`` of what it wrote, at (dx, dy, rank) = (1, 3, 1),
-(3, 1, 3) and (16, 16, 2).  The tool itself uses only the standard library;
-``perfbench.workloads`` needs numpy and channelrep to build its inputs.
+seeds 1 and 2, and every row of the console-case table, ``CASES`` in
+``tests/test_console_cases.py`` (labelled ``table: <row>``), each run in its
+own directory as written.  This checkout's channelrep builds every input
+once.  The tool starts each call through ``fixtures.run_console`` and
+imports the table, so it needs numpy and pytest besides the standard library.
 """
 
 from __future__ import annotations
@@ -24,80 +25,55 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT)]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT), str(ROOT / "tests")]
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"  # one BLAS thread: the same sums in every run
 
-from perfbench import workloads  # noqa: E402  (needs the paths above)
+from fixtures import run_console  # noqa: E402  (needs the paths above)
+from perfbench import workloads  # noqa: E402
+from test_console_cases import CASES  # noqa: E402
 
 SEEDS = (1, 2)
-BASIS_DIMS = ((1, 1), (1, 2), (2, 3))
-CHAIN_SIZES = ((1, 3, 1), (3, 1, 3), (16, 16, 2))
 PLACEHOLDER = "<dir>"
 
 
-def build_ops(inputs: Path) -> list[tuple[str, list[str]]]:
-    """Write every input under ``inputs`` and return the (label, argv) ops,
-    whose paths all lie under ``inputs``."""
+def build_ops(inputs: Path) -> list[tuple[str, str, list[str]]]:
+    """Write every input under ``inputs`` and return the (label, directory,
+    argv) ops: each runs in its directory, relative to ``inputs``."""
     ops = []
     for name in ("cli_small", "cli_large"):
         for seed in SEEDS:
             tmp = inputs / f"{name}-{seed}"
-            tmp.mkdir()
+            tmp.mkdir(parents=True)
             workload = workloads.WORKLOADS[name](seed, str(tmp))
             workload.build()
-            ops += [(f"{name} seed {seed}: {op.label}", op.argv) for op in workload.ops]
-    tmp = inputs / "extra"
-    tmp.mkdir()
-    for dx, dy in BASIS_DIMS:
-        out = tmp / f"basis{dx}x{dy}.json"
-        ops.append((f"basis {dx}x{dy}", ["basis", "--dx", str(dx), "--dy", str(dy), "--output", str(out)]))
-    for dx, dy, rank in CHAIN_SIZES:
-        size = f"{dx}x{dy}"
-        r, v, c = (str(tmp / f"{stem}{size}.json") for stem in ("random", "vector", "choi"))
-        ops += [
-            (f"random {size}", ["random", "--dx", str(dx), "--dy", str(dy), "--rank", str(rank),
-                                "--seed", "1", "--output", r]),
-            (f"represent {size}", ["represent", r, "--output", v]),
-            (f"combine {size}", ["combine", v, "--output", c]),
-            (f"roundtrip {size}", ["roundtrip", r]),
-        ]
+            ops += [(f"{name} seed {seed}: {op.label}", tmp.name, op.argv) for op in workload.ops]
+    cwd = os.getcwd()
+    try:
+        for i, case in enumerate(CASES):
+            row = inputs / f"table-{i:03d}"
+            row.mkdir()
+            os.chdir(row)  # the table's inputs write into the current directory
+            for write in case.inputs:
+                write()
+            ops.append((f"table: {case.label}", row.name, case.argv.split()))
+    finally:
+        os.chdir(cwd)
     return ops
 
 
-def _stamps(root: Path) -> dict:
-    """Each file under ``root`` with its size and modification time."""
-    return {p: (p.stat().st_size, p.stat().st_mtime_ns) for p in root.rglob("*") if p.is_file()}
-
-
-class Tree:
-    """One source tree and the directory its calls run in."""
-
-    def __init__(self, src: Path, inputs: Path, workdir: Path):
-        self.dir = workdir
-        shutil.copytree(inputs, workdir)
-        self.inputs = str(inputs)
-        self.env = dict(os.environ)
-        self.env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), self.env.get("PYTHONPATH")]))
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            self.env[var] = "1"  # one BLAS thread: the same sums in every run
-
-    def call(self, argv: list[str]) -> dict:
-        """Run one call; its exit code, output text and the files it wrote."""
-        argv = [a.replace(self.inputs, str(self.dir)) for a in argv]
-        before = _stamps(self.dir)
-        proc = subprocess.run([sys.executable, "-m", "channelrep", *argv], cwd=self.dir,
-                              env=self.env, capture_output=True, text=True)
-        written = {p.relative_to(self.dir).as_posix(): p.read_bytes()
-                   for p, stamp in _stamps(self.dir).items() if before.get(p) != stamp}
-        return {"exit": proc.returncode,
-                "stdout": proc.stdout.replace(str(self.dir), PLACEHOLDER),
-                "stderr": proc.stderr.replace(str(self.dir), PLACEHOLDER),
-                "files": written}
+def call(src: Path, tree: Path, inputs: Path, where: str, argv: list[str]) -> dict:
+    """One op under ``src`` in ``tree``, a copy of ``inputs``: its exit code,
+    output text and the files it wrote."""
+    argv = [a.replace(str(inputs), str(tree)) for a in argv]
+    code, stdout, stderr, files = run_console(argv, tree / where, src)
+    return {"exit": code, "stdout": stdout.replace(str(tree), PLACEHOLDER),
+            "stderr": stderr.replace(str(tree), PLACEHOLDER), "files": files}
 
 
 def _excerpt(value) -> object:
@@ -116,13 +92,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
         tmp = Path(tmp).resolve()
         inputs = tmp / "inputs"
-        inputs.mkdir()
         ops = build_ops(inputs)
-        parent = Tree(parent_src, inputs, tmp / "parent")
-        change = Tree(change_src, inputs, tmp / "change")
+        for side in ("parent", "change"):
+            shutil.copytree(inputs, tmp / side)
         differences = []
-        for label, op_argv in ops:
-            a, b = parent.call(op_argv), change.call(op_argv)
+        for label, where, op_argv in ops:
+            a, b = (call(src, tmp / side, inputs, where, op_argv)
+                    for side, src in (("parent", parent_src), ("change", change_src)))
             fields = [key for key in a if a[key] != b[key]]
             if fields:
                 differences.append({"op": label, "fields": fields,
