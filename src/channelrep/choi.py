@@ -111,9 +111,10 @@ class ChoiMatrix:
 
 def _owned(data, a: np.ndarray) -> np.ndarray:
     """``a``, the array ``_numbers`` read from ``data``, as a C-ordered array
-    no one else holds: copied only when ``_numbers`` returned ``data`` itself
-    or an array in another order."""
-    return a.copy(order="C") if a is data else np.ascontiguousarray(a)
+    of the same shape (a scalar stays 0-d) that no one else holds: copied
+    only when ``_numbers`` returned ``data`` itself or an array in another
+    order."""
+    return a.copy(order="C") if a is data else np.asarray(a, order="C")
 
 
 def _finite_read_only(a: np.ndarray, message="Choi matrix contains non-finite entries"):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_basis import ChannelBasis, CoefficientVector, subspace_dimension
+from .channel_basis import ChannelBasis, CoefficientVector, _scatter, subspace_dimension
 from .choi import ChoiMatrix, KrausSet, _built, check_dims, check_size, choi_from_kraus
 from .channels import schur_channel, unitary_channel
 from .errors import DimensionError, DomainError, FileFormatError, ValidationError, _SizeLimitError
@@ -259,13 +259,14 @@ def save_basis_file(path, basis: ChannelBasis) -> None:
     ``FileFormatError``.  A dump whose estimated peak,
     ``BASIS_DUMP_BYTES_PER_ENTRY`` bytes for each of the dim(S) (dx*dy)^2
     entries, is above the size limit ``choi.MAX_ARRAY_BYTES`` raises
-    ``DomainError`` before anything is built."""
+    ``DomainError`` before anything is built.  The dense stack is built for
+    the dump alone: it is not kept on ``basis``."""
     n, dim = basis.dx * basis.dy, len(basis)
     what = f"the basis dump of {dim} {n}x{n} elements"
     check_size(basis.dx, basis.dy, what, BASIS_DUMP_BYTES_PER_ENTRY * dim * n * n)
     elements = [
         {"label": list(label), "matrix": _encode_matrix(element)}
-        for label, element in zip(basis.labels, basis.elements)
+        for label, element in zip(basis.labels, _scatter(basis, np.eye(dim)))
     ]
     _write_json(path, {"dx": basis.dx, "dy": basis.dy, "dim_s": len(basis), "elements": elements})
 

@@ -93,6 +93,23 @@ def _check_tolerance(tol: float) -> float:
     raise DomainError(f"tolerance must be a finite number >= 0, got {shown or repr(tol)}")
 
 
+def _masked(data, ma) -> bool:
+    """Whether ``data`` is, or holds in lists and tuples at any depth, a masked
+    array with a masked entry (``numpy.ma.masked`` included).  numpy reads a
+    masked array inside a list as its data, hidden values and all.  Only
+    lists that hold a list, a tuple or a masked array are looked into."""
+    nested = (list, tuple, ma.MaskedArray)
+    items = [data]
+    while items:
+        x = items.pop()
+        if isinstance(x, ma.MaskedArray):
+            if ma.is_masked(x):
+                return True
+        elif isinstance(x, (list, tuple)) and any(issubclass(t, nested) for t in set(map(type, x))):
+            items.extend(x)
+    return False
+
+
 def _numbers(data, dtype=complex, what: str = "matrix") -> np.ndarray:
     """``data`` as an array of ``dtype`` (``float`` or ``complex``): the one
     rule for the values of every array a caller hands the package.
@@ -105,7 +122,7 @@ def _numbers(data, dtype=complex, what: str = "matrix") -> np.ndarray:
     ``numpy.bool_``, strings, ``None`` and other objects raise
     ``ValidationError("{what} must contain only numbers")``, and an integer
     beyond float range raises ``ValidationError("non-finite {what}")``.  A
-    masked array with a masked entry raises
+    masked array with a masked entry, at the top or nested in lists, raises
     ``ValidationError("{what} has masked entries")``; one without is read as
     its data.
     Ragged data, which numpy will not hold as objects or whose leaves are
@@ -115,12 +132,10 @@ def _numbers(data, dtype=complex, what: str = "matrix") -> np.ndarray:
     if type(data) is np.ndarray and data.dtype.kind in ("iufc" if dtype is complex else "iuf"):
         return data if data.dtype == dtype else data.astype(dtype)
     # numpy does not import numpy.ma, and a CLI call should not pay for it: data
-    # can be a masked array only once something else has imported it.
+    # can hold a masked array only once something else has imported it.
     ma = sys.modules.get("numpy.ma")
-    if ma is not None and isinstance(data, ma.MaskedArray):  # never read the values it hides
-        if ma.is_masked(data):
-            raise ValidationError(f"{what} has masked entries")
-        data = data.data
+    if ma is not None and _masked(data, ma):  # never read the values it hides
+        raise ValidationError(f"{what} has masked entries")
     try:
         a = np.asarray(data, dtype=object)
     except ValueError:  # ragged lists that an older numpy will not hold as objects

@@ -131,26 +131,6 @@ def test_sperp_elements_structure():
         assert np.abs(reduced).max() > 0.1
 
 
-def test_s_plus_sperp_reconstructs_hermitian():
-    rng = np.random.default_rng(400)
-    for dx, dy in [(2, 2), (2, 3), (3, 3)]:
-        b = get_basis(dx, dy)
-        sp = sperp_basis(dx, dy)
-        n = dx * dy
-        for _ in range(5):
-            m = rand_hermitian(rng, n)
-            rec = np.tensordot(
-                np.tensordot(b.elements.conj(), m, axes=([1, 2], [0, 1])),
-                b.elements,
-                axes=1,
-            )
-            if len(sp):
-                rec = rec + np.tensordot(
-                    np.tensordot(sp.conj(), m, axes=([1, 2], [0, 1])), sp, axes=1
-                )
-            assert np.abs(rec - m).max() <= 1e-12
-
-
 def test_labels():
     b = get_basis(2, 2)
     assert b.labels[0] == ("identity",)
@@ -354,6 +334,12 @@ def test_pairing_of_rotated_scaled_channel(seed):
 def test_combine_length_mismatch():
     with pytest.raises(DimensionError):
         combine(get_basis(2, 2), np.zeros(12))
+    # A bare scalar keeps its shape: it is not a length-1 vector or a 1x1 matrix.
+    for make in (lambda: combine(get_basis(1, 1), 5.0), lambda: CoefficientVector(1, 1, 5.0)):
+        with pytest.raises(DimensionError, match=r"got shape \(\)$"):
+            make()
+    with pytest.raises(DimensionError, match=r"must be 1x1, got \(\)$"):
+        ChoiMatrix(1, 1, 5.0)
 
 
 def test_represent_combine_on_hadamard():

@@ -111,7 +111,8 @@ CASES = [
     Case("represent hadamard", "represent had.json --output out.json", 0, (HAD,), ("dim_s 13",)),
     Case("combine 2x2 linspace", "combine v.json --output out.json", 0,
          (_vector("v.json", 2, 2, lambda: np.linspace(-1.0, 1.0, 13)),)),
-    Case("check hadamard", "check had.json", 0, (HAD,), ("cp true", "tp true", "hp true")),
+    Case("check hadamard", "check had.json", 0, (HAD,),
+         ("cp true", "tp true", "hp true", r"min_eigenvalue \S+", r"trace \S+", r"pairing \S+")),
     Case("roundtrip hadamard", "roundtrip had.json", 0, (HAD,), (AT_MOST_1E_12,)),
     Case("random 2x3 seed 7", "random --dx 2 --dy 3 --rank 2 --seed 7 --output out.json", 0),
     Case("check not cp 1x2", "check not_cp.json", 1,
@@ -150,7 +151,7 @@ CASES = [
     # summed again, scaled, so a channel still round-trips and is CP, and
     # diag(1, 0) is still outside S.
     Case("roundtrip underflow", "roundtrip underflow.json", 0, (UNDERFLOW,)),
-    Case("check underflow", "check underflow.json", 1, (UNDERFLOW,), ("cp true",)),
+    Case("check underflow", "check underflow.json", 1, (UNDERFLOW,), ("cp true", "tp false", "hp true")),
     Case("represent underflow outside s", "represent underflow_outside_s.json --output x.json", 3,
          (_choi_json("underflow_outside_s.json", 2, 1, [[[1e-170, 0], [0, 0]], [[0, 0], [0, 0]]]),)),
     # The labeled basis dump: 13 elements at 2x2; dims below 1 exit 2.  The

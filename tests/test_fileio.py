@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from channelrep import (
+    ChannelBasis,
     ChannelRepError,
     ChoiMatrix,
     CoefficientVector,
@@ -303,6 +304,8 @@ def test_writers_golden_bytes(tmp_path, save, args, expected):
     path = tmp_path / "out.json"
     save(path, *args)
     assert path.read_bytes() == expected.encode("ascii")
+    # A basis dump builds the dense stack for the file alone.
+    assert not any("elements" in vars(a) for a in args if isinstance(a, ChannelBasis))
 
 
 @pytest.mark.parametrize(

@@ -159,8 +159,11 @@ def test_writers_refuse_what_is_not_a_number_and_write_nothing(tmp_path, save, a
     ids=["ChoiMatrix", "CoefficientVector"],
 )
 def test_masked_entries_are_refused(make, message):
-    with pytest.raises(ValidationError, match=f"^{message}$"):
-        make(np.ma.array([[5.0]], mask=[[True]]))
+    # A masked array, one nested in a list (numpy reads it as its data, the
+    # hidden 5 included) and a masked scalar leaf.
+    for data in (np.ma.array([[5.0]], mask=[[True]]), [np.ma.array([5.0], mask=[True])], [[np.ma.masked]]):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            make(data)
 
 
 def test_a_masked_array_is_read_as_its_data_only_when_nothing_is_masked():
