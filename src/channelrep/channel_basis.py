@@ -111,9 +111,8 @@ INV_SQRT2 = 1.0 / SQRT2
 
 
 def subspace_dimension(dx: int, dy: int) -> int:
-    """Dimension of S: dx^2 dy^2 - dx^2 + 1."""
-    check_dims(dx, dy)
-    return dx * dx * dy * dy - dx * dx + 1
+    """Dimension of S: dx^2 dy^2 - dx^2 + 1, the length of ``channel_basis(dx, dy)``."""
+    return len(ChannelBasis(dx, dy))
 
 
 def helmert(d: int) -> np.ndarray:
@@ -150,21 +149,24 @@ class _Layout(NamedTuple):
 class ChannelBasis:
     """Ordered orthonormal basis of S for fixed (dx, dy).
 
-    The basis is determined by (dx, dy) alone, so that is all it holds; its
-    ``labels``, dense ``elements`` and the O(dx^2 + dy^2) block layout of
-    ``represent``/``combine`` are derived on first use and then kept.
-    Immutable and safe to share across threads; ``represent``/``combine``
-    are pure and may run concurrently over the same basis.
+    The basis is determined by (dx, dy) alone, so that is all it holds, as
+    the Python ints ``check_dims`` returns; its length dim(S) is computed
+    from them, and its ``labels``, dense ``elements`` and the O(dx^2 + dy^2)
+    block layout of ``represent``/``combine`` are derived on first use and
+    then kept.  Immutable and safe to share across threads;
+    ``represent``/``combine`` are pure and may run concurrently over the
+    same basis.
     """
 
     dx: int
     dy: int
 
     def __post_init__(self):
-        check_dims(self.dx, self.dy)
+        dx, dy = check_dims(self.dx, self.dy)
+        self.__dict__.update(dx=dx, dy=dy)
 
     def __len__(self) -> int:
-        return subspace_dimension(self.dx, self.dy)
+        return self.dx * self.dx * self.dy * self.dy - self.dx * self.dx + 1
 
     @cached_property
     def labels(self) -> tuple[tuple, ...]:
@@ -229,14 +231,14 @@ class CoefficientVector:
 
     def __post_init__(self):
         vals = _owned(self.values, _numbers(self.values, float, "coefficient vector"))
-        expected = subspace_dimension(self.dx, self.dy)
-        if vals.shape != (expected,):
+        basis = ChannelBasis(self.dx, self.dy)  # the dims rule, and dim(S) of its ints
+        if vals.shape != (len(basis),):
             raise DimensionError(
-                f"coefficient vector for dims ({self.dx}, {self.dy}) must have "
-                f"length {expected}, got shape {vals.shape}"
+                f"coefficient vector for dims ({basis.dx}, {basis.dy}) must have "
+                f"length {len(basis)}, got shape {vals.shape}"
             )
         message = "coefficient vector contains non-finite entries"
-        object.__setattr__(self, "values", _finite_read_only(vals, message))
+        self.__dict__.update(dx=basis.dx, dy=basis.dy, values=_finite_read_only(vals, message))
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -268,7 +270,7 @@ def hermitian_basis(d: int) -> HermitianBasis:
     # ("diagonal", k) and ("pair_sym", a, 0, b, 0) becomes ("sym", a, b).
     names = {"diag_proj": "diagonal", "pair_sym": "sym", "pair_antisym": "antisym"}
     labels = tuple((names.get(name, name), *rest[::2]) for name, *rest in basis.labels)
-    return HermitianBasis(dim=d, elements=elements, labels=labels)
+    return HermitianBasis(dim=basis.dy, elements=elements, labels=labels)
 
 
 def sperp_basis(dx: int, dy: int) -> np.ndarray:
@@ -280,7 +282,7 @@ def sperp_basis(dx: int, dy: int) -> np.ndarray:
     matrix, never a multiple of the identity.  A stack of 16 (dx^2 - 1)
     (dx*dy)^2 bytes above the size limit raises ``DomainError`` up front.
     """
-    check_dims(dx, dy)
+    dx, dy = check_dims(dx, dy)
     n, count = dx * dy, dx * dx - 1
     check_size(dx, dy, f"the complement stack of {count} {n}x{n} elements", 16 * count * n * n)
     stack = kron(np.eye(dy) / np.sqrt(dy), channel_basis(1, dx).elements[1:])

@@ -14,7 +14,7 @@ from .choi import ChoiMatrix, KrausSet, _built, _exact_choi, check_dims
 from .choi import choi_from_kraus
 from .errors import DomainError, ValidationError
 from .linalg import HERMITICITY_TOL, _Hermitian, _check_tolerance, _finite_square, _mirror_upper, res
-from .linalg import _is_integer, _text
+from .linalg import _integer, _text
 
 __all__ = [
     "NotCompletelyPositiveWarning",
@@ -105,27 +105,28 @@ def random_channel(dx: int, dy: int, kraus_rank: int, seed: int) -> ChoiMatrix:
     phase-fixed to be real positive, for determinism), slices it into
     kraus_rank blocks of shape dy x dx and returns their Choi matrix.
     The isometry condition forces trace preservation.  ``kraus_rank`` and
-    ``seed`` are integers under the rule of ``check_dims``, and ``seed >= 0``.
+    ``seed`` are integers under the rule of ``check_dims``, read as the
+    Python ints they equal, and ``seed >= 0``.
     """
-    check_dims(dx, dy)
-    if not _is_integer(kraus_rank) or not 1 <= kraus_rank <= dx * dy:
+    dx, dy = check_dims(dx, dy)
+    if (rank := _integer(kraus_rank)) is None or not 1 <= rank <= dx * dy:
         raise DomainError(
             f"kraus_rank must be an integer in [1, {dx * dy}] for dims ({dx}, {dy}), "
             f"got {_text(kraus_rank, repr)}"
         )
-    if not _is_integer(seed) or seed < 0:
+    if (start := _integer(seed)) is None or start < 0:
         raise DomainError(f"seed must be an integer >= 0, got {_text(seed, repr)}")
-    if kraus_rank * dy < dx:
+    if rank * dy < dx:
         raise DomainError(
-            f"kraus_rank {kraus_rank} is too small: a trace-preserving map needs "
-            f"kraus_rank*dy >= dx (got {kraus_rank}*{dy} < {dx})"
+            f"kraus_rank {rank} is too small: a trace-preserving map needs "
+            f"kraus_rank*dy >= dx (got {rank}*{dy} < {dx})"
         )
-    rng = np.random.default_rng(seed)
-    shape = (kraus_rank * dy, dx)
+    rng = np.random.default_rng(start)
+    shape = (rank * dy, dx)
     g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
     q, r = np.linalg.qr(g, mode="reduced")
     # g has full column rank (kraus_rank*dy >= dx, Gaussian entries), so no
     # diagonal entry of r is zero.
     diag = np.diagonal(r)
-    kraus = (q * (diag / np.abs(diag))).reshape(kraus_rank, dy, dx)
+    kraus = (q * (diag / np.abs(diag))).reshape(rank, dy, dx)
     return choi_from_kraus(_built(KrausSet, dx=dx, dy=dy, operators=kraus))

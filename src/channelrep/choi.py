@@ -29,7 +29,6 @@ from .linalg import (
     _mirror_upper,
     _numbers,
     _text,
-    partial_trace_first,
 )
 
 __all__ = [
@@ -64,18 +63,20 @@ def check_size(dx: int, dy: int, what: str, nbytes: int) -> None:
         )
 
 
-def check_dims(dx: int, dy: int) -> None:
-    """Raise ``DomainError`` unless both channel dimensions are integers >= 1
-    whose complex Choi matrix, 16 (dx*dy)^2 bytes, fits the size limit.
+def check_dims(dx: int, dy: int) -> tuple[int, int]:
+    """(dx, dy) as exact Python ints when both channel dimensions are
+    integers >= 1 whose complex Choi matrix, 16 (dx*dy)^2 bytes, fits the
+    size limit; ``DomainError`` otherwise.
 
     The one dimension rule of the package, ``linalg._check_positive_dims``,
     with the size limit.  Constructors, the basis, the file readers and the
-    writers all apply it, before they allocate anything.
+    writers all apply it once, before they allocate anything, and keep the
+    ints it returns: numpy integers are read as the Python ints they equal.
     """
-    _check_positive_dims(dx, dy)
-    n = dx * dy
-    side = _text(n)
-    check_size(dx, dy, f"the {side}x{side} Choi matrix", 16 * n * n)
+    dx, dy = _check_positive_dims(dx, dy)
+    if 16 * (n := dx * dy) ** 2 > MAX_ARRAY_BYTES:  # the message is formatted only then
+        check_size(dx, dy, f"the {_text(n)}x{_text(n)} Choi matrix", 16 * n * n)
+    return dx, dy
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,15 +95,14 @@ class ChoiMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        check_dims(self.dx, self.dy)
+        dx, dy = check_dims(self.dx, self.dy)
         m = _owned(self.matrix, _numbers(self.matrix, complex, "Choi matrix"))
-        side = self.dx * self.dy
+        side = dx * dy
         if m.shape != (side, side):
             raise DimensionError(
-                f"Choi matrix for dims ({self.dx}, {self.dy}) must be "
-                f"{side}x{side}, got {m.shape}"
+                f"Choi matrix for dims ({dx}, {dy}) must be {side}x{side}, got {m.shape}"
             )
-        object.__setattr__(self, "matrix", _finite_read_only(m))
+        self.__dict__.update(dx=dx, dy=dy, matrix=_finite_read_only(m))
 
     @cached_property
     def _hermitian(self) -> _Hermitian:
@@ -156,18 +156,15 @@ class KrausSet:
     operators: np.ndarray
 
     def __post_init__(self):
-        check_dims(self.dx, self.dy)
+        dx, dy = check_dims(self.dx, self.dy)
         ops = _owned(self.operators, _numbers(self.operators, complex, "Kraus operators"))
         ops = ops[np.newaxis] if ops.ndim == 2 else ops
         if ops.ndim != 3 or ops.shape[0] == 0:
             raise DimensionError("operators must be a nonempty list of matrices")
-        if ops.shape[1:] != (self.dy, self.dx):
-            raise DimensionError(
-                f"every Kraus operator must be {self.dy}x{self.dx}, "
-                f"got shape {ops.shape[1:]}"
-            )
+        if (shape := ops.shape[1:]) != (dy, dx):
+            raise DimensionError(f"every Kraus operator must be {dy}x{dx}, got shape {shape}")
         message = "Kraus operators contain non-finite entries"
-        object.__setattr__(self, "operators", _finite_read_only(ops, message))
+        self.__dict__.update(dx=dx, dy=dy, operators=_finite_read_only(ops, message))
 
     def __len__(self) -> int:
         return self.operators.shape[0]
@@ -213,9 +210,10 @@ def is_completely_positive(j: ChoiMatrix, tol: float = HERMITICITY_TOL) -> bool:
 
 
 def is_trace_preserving(j: ChoiMatrix, tol: float = HERMITICITY_TOL) -> bool:
-    """TP iff tracing out the output factor of the Choi matrix gives I_dx."""
+    """TP iff tracing out the output factor of the Choi matrix gives I_dx
+    (the contraction of ``partial_trace_first``, on the checked matrix)."""
     _check_tolerance(tol)
-    reduced = partial_trace_first(j.matrix, j.dy, j.dx)
+    reduced = np.einsum("abac->bc", j.matrix.reshape(j.dy, j.dx, j.dy, j.dx))
     reduced.flat[:: j.dx + 1] -= 1
     return bool(np.abs(reduced).max() <= tol)
 

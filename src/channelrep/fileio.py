@@ -101,15 +101,13 @@ def _decode(data, where: str, depth: int) -> np.ndarray:
 def _require_dims(doc: dict, what: str) -> tuple[int, int]:
     """``doc``'s dx/dy under ``choi.check_dims``, as Python ints."""
     try:
-        dx, dy = doc["dx"], doc["dy"]
-        check_dims(dx, dy)
+        return check_dims(doc["dx"], doc["dy"])
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"{what}: missing dx/dy") from exc
     except _SizeLimitError as exc:  # its message names the dims and the size
         raise FileFormatError(f"{what}: {exc}") from exc
     except DomainError as exc:
         raise FileFormatError(f"{what}: dx/dy must be positive integers") from exc
-    return int(dx), int(dy)
 
 
 def _header(where: str, kind, doc: dict) -> tuple[int, int, tuple[int, int]]:

@@ -9,6 +9,7 @@ output (Y) factor first.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 
 import numpy as np
@@ -48,10 +49,15 @@ def _norm(a: np.ndarray, sumsq: float, weight: int = 1) -> float:
     return math.sqrt(weight * sumsq)
 
 
-def _is_integer(v) -> bool:
-    """The package's integer rule: Python or numpy integers qualify, ``bool``
-    does not, and nothing is rounded or converted."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+def _integer(v) -> int | None:
+    """``v`` as an exact Python int under the package's integer rule, or None.
+
+    Python and numpy integers qualify; ``bool`` does not, nor does
+    ``numpy.timedelta64``, a numpy integer type with no integer value.
+    Nothing is rounded or converted.  Sizes are then computed on Python
+    ints, so a ``numpy.uint8`` dim cannot wrap."""
+    exact = isinstance(v, (int, np.integer)) and not isinstance(v, (bool, np.timedelta64))
+    return operator.index(v) if exact else None
 
 
 def _text(v, form=format) -> str:
@@ -64,12 +70,14 @@ def _text(v, form=format) -> str:
         return f"<{v.bit_length()}-bit integer>"
 
 
-def _check_positive_dims(d1, d2) -> None:
-    """Raise ``DomainError`` unless both dims are integers >= 1 under
-    ``_is_integer``: the package's dimension rule.  ``choi.check_dims`` adds
-    the size limit for what it will build."""
-    if not all(_is_integer(d) and d >= 1 for d in (d1, d2)):
+def _check_positive_dims(d1, d2) -> tuple[int, int]:
+    """(d1, d2) as exact Python ints (``_integer``) when both are integers
+    >= 1, else ``DomainError``: the package's dimension rule.
+    ``choi.check_dims`` adds the size limit for what it will build."""
+    dims = _integer(d1), _integer(d2)
+    if None in dims or min(dims) < 1:
         raise DomainError(f"dimensions must be positive integers, got ({_text(d1)}, {_text(d2)})")
+    return dims
 
 
 # The leaf types ``_numbers`` reads for each target dtype; ``bool``, an ``int``
@@ -94,18 +102,21 @@ def _check_tolerance(tol: float) -> float:
 
 
 def _masked(data, ma) -> bool:
-    """Whether ``data`` is, or holds in lists and tuples at any depth, a masked
-    array with a masked entry (``numpy.ma.masked`` included).  numpy reads a
-    masked array inside a list as its data, hidden values and all.  Only
-    lists that hold a list, a tuple or a masked array are looked into."""
-    nested = (list, tuple, ma.MaskedArray)
+    """Whether ``data`` is, or holds in lists, tuples and object arrays at any
+    depth, a masked array with a masked entry (``numpy.ma.masked`` included).
+    numpy reads a masked array inside a list as its data, hidden values and
+    all.  Only lists that hold a list, a tuple or an array are looked into."""
+    nested = (list, tuple, np.ndarray)
     items = [data]
     while items:
         x = items.pop()
         if isinstance(x, ma.MaskedArray):
             if ma.is_masked(x):
                 return True
-        elif isinstance(x, (list, tuple)) and any(issubclass(t, nested) for t in set(map(type, x))):
+            continue
+        if isinstance(x, np.ndarray) and x.dtype == object:
+            x = x.ravel().tolist()
+        if isinstance(x, (list, tuple)) and any(issubclass(t, nested) for t in set(map(type, x))):
             items.extend(x)
     return False
 
@@ -122,9 +133,9 @@ def _numbers(data, dtype=complex, what: str = "matrix") -> np.ndarray:
     ``numpy.bool_``, strings, ``None`` and other objects raise
     ``ValidationError("{what} must contain only numbers")``, and an integer
     beyond float range raises ``ValidationError("non-finite {what}")``.  A
-    masked array with a masked entry, at the top or nested in lists, raises
-    ``ValidationError("{what} has masked entries")``; one without is read as
-    its data.
+    masked array with a masked entry, at the top or nested in lists or
+    object arrays, raises ``ValidationError("{what} has masked entries")``;
+    one without is read as its data.
     Ragged data, which numpy will not hold as objects or whose leaves are
     themselves lists or arrays, raises ``DimensionError``.  Finiteness is
     the caller's rule: NaN and inf pass.
@@ -139,9 +150,8 @@ def _numbers(data, dtype=complex, what: str = "matrix") -> np.ndarray:
     try:
         a = np.asarray(data, dtype=object)
     except ValueError:  # ragged lists that an older numpy will not hold as objects
-        types = {list}
-    else:
-        types = set(map(type, a.reshape(-1)))
+        raise DimensionError(f"ragged {what}") from None
+    types = set(map(type, a.reshape(-1)))
     if any(issubclass(t, (list, tuple, np.ndarray)) for t in types):  # a nested leaf
         raise DimensionError(f"ragged {what}")
     if bool in types or not all(issubclass(t, _LEAVES[dtype]) for t in types):
@@ -173,7 +183,7 @@ def partial_trace_first(m, dim_first: int, dim_second: int) -> np.ndarray:
     not integers >= 1 raise ``DomainError``, as in ``choi.check_dims``.
     """
     m = _numbers(m)
-    _check_positive_dims(dim_first, dim_second)
+    dim_first, dim_second = _check_positive_dims(dim_first, dim_second)
     side = dim_first * dim_second
     if m.shape != (side, side):
         side = _text(side)
@@ -235,8 +245,10 @@ def _finite_square(m, what: str = "matrix") -> np.ndarray:
     return m
 
 
-# Columns mirrored at a time by ``_mirror_upper``.
+# Columns mirrored at a time by ``_mirror_upper``, and the mask of the
+# entries below the diagonal of a panel's diagonal block.
 _PANEL = 64
+_BELOW = np.tri(_PANEL, k=-1, dtype=bool)
 
 
 def _mirror_upper(m: np.ndarray) -> np.ndarray:
@@ -250,11 +262,10 @@ def _mirror_upper(m: np.ndarray) -> np.ndarray:
     mask, and below it as the conjugate transpose of the strip beside it.
     """
     n = m.shape[-1]
-    lower = np.tri(_PANEL, k=-1, dtype=bool)
     for i in range(0, n, _PANEL):
         k = min(i + _PANEL, n)
         block = m[..., i:k, i:k]
-        np.copyto(block, block.swapaxes(-1, -2).conj(), where=lower[: k - i, : k - i])
+        np.copyto(block, block.swapaxes(-1, -2).conj(), where=_BELOW[: k - i, : k - i])
         m[..., k:, i:k] = m[..., i:k, k:].swapaxes(-1, -2).conj()
     m.reshape(m.shape[:-2] + (n * n,))[..., :: n + 1].imag = 0
     return m
@@ -286,12 +297,13 @@ class _Hermitian:
         # Compared as float views of two C-ordered arrays: equal parts are
         # equal entries, and numpy compares floats faster than complex.
         m_dag = np.conjugate(self.m.T, order="C")
-        exact = bool((np.ascontiguousarray(self.m).view(float) == m_dag.view(float)).all())
+        if (np.ascontiguousarray(self.m).view(float) == m_dag.view(float)).all():
+            return True, 0.0
         # Entries near the float limit overflow in the difference and inf
         # entries give NaN: the defect says so without a RuntimeWarning, and
         # ``scale`` refuses such a matrix where a tolerance is relative to it.
         with np.errstate(over="ignore", invalid="ignore"):
-            return exact, 0.0 if exact else float(np.abs(self.m - m_dag).max())
+            return False, float(np.abs(self.m - m_dag).max())
 
     def scale(self) -> float:
         """s = ||m||_F, the scale the package's tolerances are relative to.

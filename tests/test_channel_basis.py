@@ -1,3 +1,4 @@
+import collections
 import importlib
 import tracemalloc
 import warnings
@@ -35,6 +36,7 @@ from channelrep import (
     trace_norm,
     unitary_channel,
 )
+from channelrep import choi, linalg
 from channelrep.channel_basis import _gather, _scatter
 from channelrep.fileio import load_matrix_file, load_vector_file, save_matrix_file, save_vector_file
 from channelrep.linalg import HERMITICITY_TOL, _Hermitian, _mirror_upper
@@ -158,6 +160,36 @@ def test_numpy_integer_dims_are_dims():
     b = channel_basis(np.int64(2), np.int64(2))
     assert len(b) == 13
     assert len(represent(b, random_channel(2, 2, 1, seed=5))) == 13
+
+
+def test_validated_values_are_not_checked_again(monkeypatch):
+    # Once a basis, a Choi matrix and a coefficient vector are built, the
+    # dims rule and the number rule of arrays do not run on them again.
+    basis, j = channel_basis(2, 3), random_channel(2, 3, 2, seed=5)
+    vectors = (represent(basis, j), CoefficientVector(2, 3, np.ones(len(basis))))
+    counts = collections.Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    for module in (linalg, choi):
+        count(module, "_check_positive_dims")
+    for module in (linalg, choi, importlib.import_module("channelrep.channel_basis")):
+        count(module, "_numbers")
+    assert is_trace_preserving(j)
+    assert counts == {}
+    assert len(basis) == 33
+    v = represent(basis, j)
+    for w in vectors:
+        combine(basis, w)
+    assert counts["_check_positive_dims"] == 0
+    assert np.array_equal(v.values, vectors[0].values)
 
 
 def test_represent_hadamard_multiset():

@@ -160,8 +160,15 @@ def test_writers_refuse_what_is_not_a_number_and_write_nothing(tmp_path, save, a
 )
 def test_masked_entries_are_refused(make, message):
     # A masked array, one nested in a list (numpy reads it as its data, the
-    # hidden 5 included) and a masked scalar leaf.
-    for data in (np.ma.array([[5.0]], mask=[[True]]), [np.ma.array([5.0], mask=[True])], [[np.ma.masked]]):
+    # hidden 5 included), a masked scalar leaf, and that leaf in object arrays.
+    leaf = np.array([np.ma.masked], dtype=object)
+    for data in (
+        np.ma.array([[5.0]], mask=[[True]]),
+        [np.ma.array([5.0], mask=[True])],
+        [[np.ma.masked]],
+        np.array([[np.ma.masked]], dtype=object),
+        [leaf],
+    ):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             make(data)
 

@@ -6,6 +6,7 @@ Every case here is refused up front: within a second, and with a
 
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from channelrep import (
     KrausSet,
     channel_basis,
     hermitian_basis,
+    partial_trace_first,
     random_channel,
     schur_channel,
     sperp_basis,
@@ -187,3 +189,40 @@ def test_a_file_with_dims_beyond_float_range_exits_2(tmp_path, capsys):
     [line] = captured.err.splitlines()
     assert line.startswith(f"error: {inp}: dims (1000")
     assert line.endswith("would take at least 2^2631 GiB, above the size limit of 4 GiB")
+
+
+# Calls on dims (and a Kraus rank) of one value: each takes the dims as
+# ``cast(value)``.  None allocates on dims that wrap in a narrow type.
+_DIM_PROBES = {
+    "len(channel_basis)": (16, lambda d: len(channel_basis(d, d))),
+    "subspace_dimension": (16, lambda d: subspace_dimension(d, d)),
+    "check_dims 16": (16, lambda d: check_dims(d, d)),
+    "check_dims 5000": (5000, lambda d: check_dims(d, d)),
+    "check_dims 2**16": (2**16, lambda d: check_dims(d, d)),
+    "ChoiMatrix 200": (200, lambda d: ChoiMatrix(d, d, np.zeros((1, 1)))),
+    "CoefficientVector 16": (16, lambda d: CoefficientVector(d, d, np.zeros(65281)).values),
+    "partial_trace_first": (16, lambda d: partial_trace_first(np.eye(256), d, d)),
+    "random_channel rank 200": (200, lambda d: random_channel(16, 16, d, 0).matrix),
+    "random_channel dims 16": (16, lambda d: random_channel(d, d, 200, 0).matrix),
+}
+
+
+def _outcome(call):
+    """``call()``'s value (an array by its bytes, anything else by ``repr``)
+    or its exception's type and message; any warning is an exception."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = call()
+        except Exception as exc:
+            return type(exc), str(exc)
+    return (value.shape, value.tobytes()) if isinstance(value, np.ndarray) else repr(value)
+
+
+@pytest.mark.parametrize("cast", [np.uint8, np.int16, np.int32, np.int64], ids=lambda t: t.__name__)
+def test_numpy_integer_dims_are_read_as_the_python_ints_they_equal(cast):
+    # Sizes were once computed in the caller's type: uint8 dims of 16 gave
+    # len 1, and int32 dims of 5000 passed the size limit.
+    for name, (value, call) in _DIM_PROBES.items():
+        if value <= np.iinfo(cast).max:
+            assert _outcome(lambda: call(cast(value))) == _outcome(lambda: call(value)), name
