@@ -1,9 +1,13 @@
 """Shared fixtures and independent brute-force oracles for the test suite."""
 
+import atexit
+import contextlib
+import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 from functools import lru_cache
 
 import numpy as np
@@ -19,8 +23,8 @@ SQRT2 = np.sqrt(2.0)
 
 def console_env(src=None) -> dict:
     """The environment of this process, with ``src`` (by default the tree of
-    the imported channelrep) first on the import path."""
-    env = dict(os.environ)
+    the imported channelrep) first on the import path and one BLAS thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     src = str(src or pathlib.Path(channelrep.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
@@ -42,14 +46,98 @@ def written_by(call, cwd) -> tuple:
                     for p, stamp in _stamps(cwd).items() if before.get(p) != stamp}
 
 
-def run_console(argv, cwd, src=None) -> tuple:
-    """Run ``python -m channelrep <argv>`` in ``cwd`` under ``console_env(src)``:
-    its exit code, stdout, stderr and the files it wrote (``written_by``).
-    The one place the tests and tools start the console script."""
+def fresh_console(argv, cwd, src=None) -> tuple:
+    """``run_console`` in a fresh interpreter: ``python -m channelrep <argv>``."""
     proc, files = written_by(lambda: subprocess.run(
         [sys.executable, "-m", "channelrep", *argv], cwd=cwd, env=console_env(src),
         capture_output=True, text=True), cwd)
     return proc.returncode, proc.stdout, proc.stderr, files
+
+
+# The server script imports what ``python -m channelrep`` imports before
+# main (``-c`` would add linecache on Python 3.13), then reads requests, one
+# JSON line ``[argv, cwd]`` each.  For each it forks a child, waits for it
+# and answers with its exit code.  The child runs the console script in cwd,
+# with cwd first on the import path and stdout and stderr in the files "1"
+# and "2" of the directory ``sys.argv[1]``, then leaves the loop, so that
+# the interpreter ends it as it ends ``python -m channelrep``: ``sys.exit``,
+# a traceback, flushes and atexit.  The server exits at EOF of its requests.
+_SERVER = r"""
+import json, os, runpy, sys
+import channelrep.cli
+
+for line in sys.stdin.buffer:
+    argv, cwd = json.loads(line)
+    pid = os.fork()
+    if pid == 0:
+        os.chdir(cwd)
+        sys.path[0] = cwd
+        os.dup2(os.open(os.devnull, os.O_RDONLY), 0)
+        for fd in (1, 2):
+            os.dup2(os.open(os.path.join(sys.argv[1], str(fd)), os.O_WRONLY | os.O_CREAT | os.O_TRUNC), fd)
+        sys.argv = ["-m", *argv]
+        runpy.run_module("channelrep", run_name="__main__", alter_sys=True)
+        break
+    os.write(1, b"%d\n" % os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+class ConsoleServer:
+    """One warm interpreter under ``console_env(src)`` that runs console
+    calls one at a time, each in a child forked from it."""
+
+    def __init__(self, src=None):
+        self.dir = tempfile.TemporaryDirectory(prefix="console-")
+        script = pathlib.Path(self.dir.name, "server.py")
+        script.write_text(_SERVER)
+        with open(os.path.join(self.dir.name, "server"), "wb") as err:
+            self.proc = subprocess.Popen([sys.executable, script, self.dir.name], cwd=self.dir.name,
+                                         env=console_env(src), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                         stderr=err)
+
+    def _read(self, name: str) -> str:
+        return pathlib.Path(self.dir.name, name).read_text()
+
+    def call(self, argv, cwd) -> tuple:
+        """Exit code, stdout and stderr of the console script on ``argv`` in ``cwd``."""
+        with contextlib.suppress(BrokenPipeError):  # a dead server: the read below says so
+            self.proc.stdin.write(json.dumps([list(argv), os.path.abspath(cwd)]).encode() + b"\n")
+            self.proc.stdin.flush()
+        answer = self.proc.stdout.readline()
+        if not answer:
+            stderr = self._read("server")
+            self.close()
+            raise RuntimeError(f"console server exited with {self.proc.returncode}: {stderr}")
+        return int(answer), self._read("1"), self._read("2")
+
+    def close(self) -> None:
+        """End the server with EOF of its requests, reap it and remove its files."""
+        if self.proc.returncode is None:
+            try:
+                self.proc.communicate(timeout=60)
+            finally:  # a server that outlives its requests is killed, not waited for
+                self.proc.kill()
+                self.proc.wait()
+                self.dir.cleanup()
+
+
+_SERVERS = {}  # by tree, each closed at exit
+atexit.register(lambda: [server.close() for server in _SERVERS.values()])
+
+
+def run_console(argv, cwd, src=None) -> tuple:
+    """Run ``python -m channelrep <argv>`` in ``cwd`` under ``console_env(src)``:
+    its exit code, stdout, stderr and the files it wrote (``written_by``).
+    The one place the tests and tools run the console script.  Each call is
+    forked from one warm ``ConsoleServer`` per tree, started on first use;
+    without ``os.fork`` each call starts a fresh interpreter."""
+    if not hasattr(os, "fork"):
+        return fresh_console(argv, cwd, src)
+    server = _SERVERS.get(str(src))
+    if server is None or server.proc.returncode is not None:
+        server = _SERVERS[str(src)] = ConsoleServer(src)
+    (code, stdout, stderr), files = written_by(lambda: server.call(argv, cwd), cwd)
+    return code, stdout, stderr, files
 
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / SQRT2

@@ -42,6 +42,7 @@ from channelrep.fileio import load_matrix_file, load_vector_file, save_matrix_fi
 from channelrep.linalg import HERMITICITY_TOL, _Hermitian, _mirror_upper
 
 from fixtures import (
+    CORRELATION_2DP,
     CORRELATION_FULL,
     HADAMARD,
     HADAMARD_CHOI,
@@ -202,6 +203,9 @@ def test_represent_schur_multiset():
     v = represent(get_basis(3, 3), schur_channel(CORRELATION_FULL))
     assert len(v) == 73
     assert multiset_dev(v.values, SCHUR_COEFF_MULTISET) <= 1e-4
+    # At two decimals as well, 12 coefficients are nonzero and 61 vanish.
+    v = represent(get_basis(3, 3), schur_channel(CORRELATION_2DP))
+    assert np.count_nonzero(np.abs(v.values) > 1e-9) == 12
 
 
 def test_represent_accepts_bare_matrix():

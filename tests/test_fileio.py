@@ -32,7 +32,7 @@ from channelrep.fileio import (
 )
 
 from fixtures import CORRELATION_2DP, HADAMARD, MALFORMED_FILES, _is_json_number, rand_complex
-from fixtures import reference_load
+from fixtures import dense_channel_basis, reference_load
 
 
 def test_choi_matrix_round_trip(tmp_path):
@@ -306,6 +306,15 @@ def test_writers_golden_bytes(tmp_path, save, args, expected):
     assert path.read_bytes() == expected.encode("ascii")
     # A basis dump builds the dense stack for the file alone.
     assert not any("elements" in vars(a) for a in args if isinstance(a, ChannelBasis))
+
+
+@pytest.mark.parametrize("dx,dy", [(2, 2), (2, 3)])
+def test_basis_file_holds_each_labeled_element_in_order(tmp_path, dx, dy):
+    save_basis_file(tmp_path / "b.json", channel_basis(dx, dy))
+    doc, ref = json.loads((tmp_path / "b.json").read_text()), dense_channel_basis(dx, dy)
+    assert (doc["dx"], doc["dy"], doc["dim_s"]) == (dx, dy, len(ref))
+    elements = [(tuple(e["label"]), (np.array(e["matrix"]) @ [1, 1j]).tolist()) for e in doc["elements"]]
+    assert elements == [(label, m.tolist()) for label, m in ref.items()]
 
 
 @pytest.mark.parametrize(

@@ -112,6 +112,7 @@ def test_integers_beyond_float_range_are_non_finite(big):
         lambda: KrausSet(2, 2, [[[1, 0], [0, 1]], [[1, 0], [0]]]),
         lambda: ChoiMatrix(1, 2, [[1, 0], [0]]),
         lambda: ChoiMatrix(1, 2, [[1, [0]], [0, 1]]),
+        lambda: ChoiMatrix(1, 2, [[np.zeros((2, 2))], [np.zeros(2)]]),
         lambda: CoefficientVector(1, 2, [[1], [0, 0, 0]]),
         lambda: apply_channel(_ONE, [[1], []]),
         lambda: trace_norm([[1, 2], [3]]),
