@@ -30,6 +30,7 @@ from channelrep import (
 from channelrep.cli import _build_parser, main
 from channelrep.fileio import (
     load_matrix_file,
+    load_vector_file,
     matrix_file_to_choi,
     save_matrix_file,
     save_vector_file,
@@ -40,11 +41,112 @@ from fixtures import (
     CORRELATION_2DP,
     HADAMARD,
     HADAMARD_CHOI,
+    HADAMARD_COEFF_MULTISET,
     console_env,
+    multiset_dev,
     rand_complex,
     rand_hermitian,
     rand_unitary,
 )
+
+
+def _hadamard_file(tmp_path):
+    path = tmp_path / "had.json"
+    save_matrix_file(path, "unitary", 2, 2, HADAMARD)
+    return path
+
+
+def test_represent_hadamard(tmp_path, capsys):
+    inp = _hadamard_file(tmp_path)
+    out = tmp_path / "v.json"
+    assert main(["represent", str(inp), "--output", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert "dim_s 13" in stdout
+    vf = load_vector_file(out)
+    assert len(vf.values) == 13
+    assert multiset_dev(vf.values, HADAMARD_COEFF_MULTISET) <= 1e-4
+
+
+def test_check_judges_a_tiny_matrix_by_its_own_norm(tmp_path, capsys):
+    # 1e-12 * diag(1, -1) at dx = 1, dy = 2 is not CP at any scale; a
+    # tolerance relative to max(1, ||J||_F) printed "cp true" for it.
+    inp = tmp_path / "tiny.json"
+    save_matrix_file(inp, "choi", 1, 2, 1e-12 * np.diag([1.0, -1.0]))
+    assert main(["check", str(inp)]) == 1
+    assert capsys.readouterr().out.splitlines()[:3] == ["cp false", "tp false", "hp true"]
+
+
+def test_parse_failure_exit_2(tmp_path, capsys):
+    inp = tmp_path / "garbage.json"
+    inp.write_text("{broken")
+    assert main(["represent", str(inp), "--output", str(tmp_path / "v.json")]) == 2
+    assert main(["check", str(inp)]) == 2
+    assert main(["roundtrip", str(inp)]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "dx,dy,expected_len", [(2, 2, 13), (1, 1, 1), (2, 3, 33)]
+)
+def test_basis_dump(tmp_path, dx, dy, expected_len):
+    out = tmp_path / "basis.json"
+    assert main(["basis", "--dx", str(dx), "--dy", str(dy), "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["dim_s"] == expected_len
+    assert len(doc["elements"]) == expected_len
+    first = np.array(
+        [[complex(re, im) for re, im in row] for row in doc["elements"][0]["matrix"]]
+    )
+    n = dx * dy
+    assert np.abs(first - np.eye(n) / np.sqrt(n)).max() <= 1e-15
+    assert doc["elements"][0]["label"] == ["identity"]
+
+
+def test_random_deterministic_and_valid(tmp_path, capsys):
+    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    args = ["random", "--dx", "2", "--dy", "3", "--rank", "2", "--seed", "7"]
+    assert main(args + ["--output", str(out1)]) == 0
+    assert main(args + ["--output", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+    assert main(["check", str(out1)]) == 0
+
+    vec = tmp_path / "v.json"
+    assert main(["represent", str(out1), "--output", str(vec)]) == 0
+    vf = load_vector_file(vec)
+    assert abs(vf.values[0] - np.sqrt(2 / 3)) <= 1e-10
+    capsys.readouterr()
+
+
+def test_random_negative_seed_exit_2(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(["random", "--dx", "2", "--dy", "2", "--rank", "2", "--seed", "-1",
+                 "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+    assert not out.exists()
+
+
+def _write_argv(tmp_path, command, out):
+    """argv of ``command`` writing its result to ``out``."""
+    if command == "represent":
+        return ["represent", str(_hadamard_file(tmp_path)), "--output", out]
+    if command == "combine":
+        vec = tmp_path / "v.json"
+        save_vector_file(vec, 2, 2, np.zeros(13))
+        return ["combine", str(vec), "--output", out]
+    if command == "random":
+        return ["random", "--dx", "2", "--dy", "2", "--rank", "1", "--seed", "0", "--output", out]
+    return ["basis", "--dx", "2", "--dy", "2", "--output", out]
+
+
+@pytest.mark.parametrize("command", ["represent", "combine", "random", "basis"])
+def test_unwritable_output_exit_2(tmp_path, capsys, command):
+    out = str(tmp_path / "missing" / "out.json")
+    assert main(_write_argv(tmp_path, command, out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.out == ""
 
 
 def test_combine_builds_one_coefficient_vector(tmp_path, monkeypatch):
